@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from frontlab import (Field, PerturbationState, StabilityError, StepperConfig,
                       make_perturbation, preset, rhs_perturbation, step)
 from frontlab.evolution import _Workspace, make_stepper
 from frontlab.fronts import reference_front
-from frontlab.spectral import trig_interpolate
+from frontlab.spectral import dealias_mask, trig_interpolate
 
 
 def quiet_evolve(*args, **kwargs):
@@ -66,8 +67,79 @@ def test_rhs_frechet_linearization(grid_std, burgers_front):
     assert errors[0] <= 10.0 * deltas[0] ** 2
 
 
+def reference_nonlinear_hat(front, gamma, vhat, disable=()):
+    """Complex-spectrum payload from five full FFTs per call, term by term:
+    the oracle for the half-spectrum path of _Workspace.nonlinear_hat."""
+    grid = front.grid
+    ik = 1j * grid.k
+    ik[grid.n // 2] = 0.0
+    phi, dphi = front.phi.values, front.phi_prime.values
+    v = np.fft.ifft(vhat).real
+    vx = np.fft.ifft(ik * vhat).real
+    x0_dot = 0.0
+    payload = np.zeros_like(v)
+    if "modulation" not in disable:
+        x0_dot = -gamma * grid.h * float(dphi @ v)
+        payload += x0_dot * (vx + dphi)
+    if "front" not in disable:
+        payload -= np.fft.ifft(ik * np.fft.fft(phi * v)).real
+    if "nonlinear" not in disable:
+        payload -= v * vx
+    out = np.fft.fft(payload)
+    out[~dealias_mask(grid.n)] = 0.0
+    return out, x0_dot
+
+
+TERMS = ("front", "nonlinear", "modulation")
+
+
+@pytest.mark.parametrize("disable", [tuple(t for t, off in zip(TERMS, bits) if off)
+                                     for bits in itertools.product((0, 1), repeat=3)])
+def test_half_spectrum_payload_matches_complex_oracle(grid_std, kdvb_front, disable):
+    spec = preset("kdvb", nu=-6.0 / 25.0)
+    ws = _Workspace(kdvb_front, spec, 1.1, True, disable)
+    m = grid_std.n // 2 + 1
+    for kind in ("gaussian", "odd_gaussian_derivative", "random_bandlimited"):
+        v = make_perturbation(kind, 0.8, 1.5, grid_std, seed=7).values
+        vhat = np.fft.fft(v)
+        vhat[~dealias_mask(grid_std.n)] = 0.0
+        want, want_dot = reference_nonlinear_hat(kdvb_front, 1.1, vhat, disable)
+        got, got_dot = ws.nonlinear_hat(ws.augment(np.fft.ifft(vhat).real)[:-1])
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got - want[:m])) <= 1e-13 * scale
+        assert abs(got_dot - want_dot) <= 1e-13 * max(abs(want_dot), 1e-300)
+        if "modulation" in disable:
+            assert got_dot == 0.0
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "odd_gaussian_derivative",
+                                  "odd_sine_packet", "random_bandlimited"])
+def test_half_spectrum_norms(grid_std, burgers_front, kind):
+    """Parseval l2 equals the rectangle rule; the sup bound is a bound."""
+    ws = _Workspace(burgers_front, preset("burgers"), 1.1, True)
+    f = make_perturbation(kind, 0.7, 1.2, grid_std, seed=3)
+    mag = np.abs(np.fft.rfft(f.values))
+    assert np.sqrt(ws.l2sq(mag)) == pytest.approx(lp_norm(f, 2), rel=1e-13)
+    assert ws.sup_bound(mag) >= np.max(np.abs(f.values))
+
+
 # ---------------------------------------------------------------------------
 # Steppers
+
+
+@pytest.mark.parametrize("scheme", ["etdrk4", "imex2"])
+def test_step_is_first_step_of_evolve(grid_std, kdvb_front, scheme):
+    spec = preset("kdvb", nu=-6.0 / 25.0)
+    v0 = make_perturbation("random_bandlimited", 0.5, 1.0, grid_std, seed=5)
+    cfg = StepperConfig(dt=2e-3, t_end=2e-3, scheme=scheme, record_every=1,
+                        snapshot_every=1)
+    traj = quiet_evolve(v0, kdvb_front, spec, cfg)
+    out = step(PerturbationState(v=v0), kdvb_front, spec, cfg)
+    _, v_end = traj.snapshots[-1]
+    assert np.max(np.abs(out.v.values - v_end.values)) <= \
+        1e-14 * np.max(np.abs(v_end.values))
+    assert abs(out.x0 - traj.x0_final) <= 1e-14 * max(abs(traj.x0_final), 1e-300)
+    assert out.x0_dot_last == pytest.approx(traj.series.x0_dot[-1], rel=1e-14)
 
 
 def test_step_steady_state(grid_std, burgers_front):
@@ -119,11 +191,11 @@ def final_state_norm_free(front, spec, v0, dt, t_end, scheme):
     ws = _Workspace(front, spec, cfg.gamma, cfg.dealias)
     stepper, nonlin = make_stepper(ws, cfg)
     n = front.grid.n
-    z = np.concatenate([np.fft.fft(v0.values), [0.0 + 0.0j]])
-    z[:n][~ws.mask] = 0.0
+    z = np.concatenate([np.fft.rfft(v0.values), [0.0 + 0.0j]])
+    z[:-1][~ws.mask] = 0.0
     for _ in range(int(round(t_end / dt))):
         z, _ = stepper.advance(z, nonlin)
-    return np.fft.ifft(z[:n]).real
+    return np.fft.irfft(z[:-1], n)
 
 
 @pytest.mark.parametrize("scheme,expected", [("etdrk4", 16.0), ("imex2", 4.0)])
@@ -143,6 +215,8 @@ def test_cfl_guard(grid_std, burgers_front):
     cfg = StepperConfig(dt=0.05, t_end=1.0)
     with pytest.raises(StabilityError, match="advective"):
         quiet_evolve(v0, burgers_front, preset("burgers"), cfg)
+    with pytest.raises(StabilityError, match="advective"):
+        step(PerturbationState(v=v0), burgers_front, preset("burgers"), cfg)
 
 
 def test_stepper_config_validation():
@@ -179,6 +253,13 @@ def test_parity_preservation(grid_std, frac_one_front):
     vals = v_end.values
     scale = np.max(np.abs(vals))
     assert np.max(np.abs(vals[1:] + vals[1:][::-1])) <= 1e-10 * max(scale, 1e-10)
+
+
+def test_snapshots_continue_after_full_decay(grid_std, burgers_front):
+    """Zero data is fully decayed from the start; snapshots still land."""
+    cfg = StepperConfig(dt=0.01, t_end=1.0, record_every=10, snapshot_every=20)
+    traj = quiet_evolve(Field.zeros(grid_std), burgers_front, preset("burgers"), cfg)
+    assert [t for t, _ in traj.snapshots] == pytest.approx(0.2 * np.arange(6))
 
 
 def test_energy_inequality_pure_heat(grid_std, burgers_front):
