@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import configparser
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import __version__
 from .certify import (CertificationError, certify_front, sweep_nu,
                       DEFAULT_EPS_SAMPLES)
-from .config import RunConfig, operator_from_config
+from .config import FIELDS, RunConfig, operator_from_config, parse_value
 from .diagnostics import (check_energy_inequality, compare_to_theorem,
                           fit_rate, predicted_rate, weighted_bound_monitor)
 from .evolution import (StabilityError, StepperConfig, cole_hopf_exact, evolve,
@@ -49,8 +51,10 @@ def _add_operator_flags(p):
                    help="fractional terms a:alpha[,a:alpha...]")
     p.add_argument("--operator", default=None, dest="expression",
                    help="symbol expression l(k), e.g. '-0.1*(i*k)^3'")
-    p.add_argument("--n", type=int, default=1024, help="grid points (power of two)")
-    p.add_argument("--length", type=float, default=80.0, help="domain length")
+    p.add_argument("--n", type=int, default=None,
+                   help="grid points (power of two; default 1024)")
+    p.add_argument("--length", type=float, default=None,
+                   help="domain length (default 80.0)")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -58,19 +62,12 @@ def _config_from_args(args) -> RunConfig:
         cfg = RunConfig.from_ini(Path(args.config).read_text())
     else:
         cfg = RunConfig()
-    for name in ("preset", "nu", "expression"):
+    for name in ("preset", "nu", "expression", "n", "length", "seed"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
-    if getattr(args, "terms", None):
-        cfg.terms = tuple(tuple(float(x) for x in pair.split(":"))
-                          for pair in args.terms.split(","))
-    if getattr(args, "n", None):
-        cfg.n = args.n
-    if getattr(args, "length", None):
-        cfg.length = args.length
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+    if getattr(args, "terms", None) is not None:
+        cfg.terms = parse_value("pairs", args.terms)
     if getattr(args, "out", None):
         cfg.directory = args.out
     return cfg
@@ -123,8 +120,7 @@ def _parse_sweep_range(text: str) -> list[float]:
 
 
 def cmd_certify(args) -> int:
-    eps = tuple(float(e) for e in args.eps.split(",")) if args.eps \
-        else DEFAULT_EPS_SAMPLES
+    eps = parse_value("floats", args.eps) if args.eps else DEFAULT_EPS_SAMPLES
     if args.sweep_nu:
         values = _parse_sweep_range(args.sweep_nu)
         rows, threshold = sweep_nu(values, eps_samples=eps, m=args.fd_points,
@@ -166,18 +162,19 @@ def cmd_certify(args) -> int:
 def _run_pipeline(cfg: RunConfig) -> tuple[int, dict]:
     spec = operator_from_config(cfg)
     grid = make_grid(cfg.n, cfg.length)
+    # bad stepper or perturbation settings fail before the front work
+    stepper_cfg = StepperConfig(
+        dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme, gamma=cfg.gamma,
+        dealias=cfg.dealias, record_every=cfg.record_every,
+        snapshot_every=cfg.snapshot_every, p_list=cfg.p_list,
+    )
+    v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
     front = _solve_front(cfg)
     cert = None
     try:
         cert = certify_front(front, eps_samples=cfg.eps_samples, m=cfg.fd_points)
     except CertificationError as exc:
         print(f"warning: certificate unresolved ({exc})", file=sys.stderr)
-    v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
-    stepper_cfg = StepperConfig(
-        dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme, gamma=cfg.gamma,
-        dealias=cfg.dealias, record_every=cfg.record_every,
-        snapshot_every=cfg.snapshot_every, p_list=cfg.p_list,
-    )
     writer = RunWriter(cfg.directory)
     writer.write_config_snapshot(cfg.snapshot())
     writer.write_front(front)
@@ -300,7 +297,7 @@ def cmd_rates(args) -> int:
                                                 if model == "frac_odd" else []))
     if 2.0 not in [p for p in p_list if p != "derivative"]:
         p_list = [2.0] + p_list
-    window = (tuple(float(w) for w in args.window.split(","))
+    window = (parse_value("floats", args.window)
               if args.window else tuple(meta.get("fit_window",
                                                  (series.t[-1] / 4, series.t[-1]))))
     delta = args.delta if args.delta is not None else meta.get("delta", 0.05)
@@ -323,14 +320,7 @@ def cmd_rates(args) -> int:
         mask = t > 0
         curves, guides = [], []
         for v in verdicts:
-            if v.p == "derivative":
-                norm = series.column("dv_l2")
-            elif v.p == 2.0:
-                norm = series.column("l2")
-            elif np.isinf(float(v.p)):
-                norm = series.column("linf")
-            else:
-                norm = series.column(f"lp:{float(v.p)}")
+            norm = series.norm(v.p)
             curves.append((f"p={v.p}", t[mask], norm[mask]))
             i0 = np.argmin(np.abs(t - window[0]))
             guides.append((f"slope -{v.rate:g}", -v.rate, t[i0],
@@ -351,20 +341,6 @@ def _parse_p(text: str):
     return float(text)
 
 
-_OVERRIDE_MAP = {
-    "operator.preset": "preset", "operator.nu": "nu",
-    "operator.terms": "terms", "operator.expression": "expression",
-    "grid.n": "n", "grid.length": "length",
-    "front.method": "front_method", "front.tol": "front_tol",
-    "perturbation.kind": "kind", "perturbation.amplitude": "amplitude",
-    "perturbation.width": "width", "perturbation.seed": "seed",
-    "stepper.scheme": "scheme", "stepper.dt": "dt", "stepper.gamma": "gamma",
-    "stepper.t_end": "t_end", "stepper.record_every": "record_every",
-    "stepper.snapshot_every": "snapshot_every",
-    "diagnostics.delta": "delta", "diagnostics.model": "model",
-}
-
-
 def _simulate_worker(snapshot: dict) -> tuple[str, int, dict]:
     cfg = RunConfig.from_snapshot(snapshot)
     status, summary = _run_pipeline(cfg)
@@ -374,26 +350,20 @@ def _simulate_worker(snapshot: dict) -> tuple[str, int, dict]:
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     key, _, values = args.set.partition("=")
-    attr = _OVERRIDE_MAP.get(key.strip())
+    # every key but output.directory, which the sweep sets per run
+    rows = {f"{section}.{name}": (attr, kind) for section, name, attr, kind
+            in FIELDS if attr != "directory"}
+    attr, kind = rows.get(key.strip(), (None, None))
     if attr is None:
-        print(f"unknown sweep key {key!r}", file=sys.stderr)
+        print(f"not a sweepable key: {key!r}", file=sys.stderr)
         return EXIT_USAGE
     base_dir = Path(args.out or "sweep_runs")
-    current = getattr(cfg, attr)
     jobs = []
-    for raw in values.split(","):
+    # list values contain commas, so list keys separate sweep values with ';'
+    for raw in values.split(";" if kind in ("floats", "pairs") else ","):
         raw = raw.strip()
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float) or current is None:
-            value = float(raw)
-        else:
-            value = raw
-        sub = RunConfig.from_snapshot(cfg.snapshot())
-        setattr(sub, attr, value)
-        sub.directory = str(base_dir / f"{attr}_{raw}")
+        sub = replace(cfg, **{attr: parse_value(kind, raw),
+                              "directory": str(base_dir / f"{attr}_{raw}")})
         jobs.append(sub.snapshot())
 
     results = []
@@ -472,7 +442,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep", help="run simulate over a list of parameter "
                                      "values, one directory per run")
     p.add_argument("--config", required=True)
-    p.add_argument("--set", required=True, metavar="SECTION.KEY=V1,V2,...")
+    p.add_argument("--set", required=True, metavar="SECTION.KEY=V1,V2,...",
+                   help="any config key but output.directory; list-valued "
+                        "keys separate their values with ';'")
     p.add_argument("--out", default=None)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
@@ -480,7 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SymbolError, FrontError, ValueError) as exc:
+    except (SymbolError, FrontError, ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StabilityError as exc:

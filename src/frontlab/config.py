@@ -1,7 +1,8 @@
 """Run configuration: flat INI-style text with [section] headers.
 
-Every key mirrors a CLI flag; a config round-trips bit-identically
-through to_ini/from_ini once in canonical form.
+Every key is one row of FIELDS, which drives parsing, writing and
+`frontlab sweep --set`; a config round-trips bit-identically through
+to_ini/from_ini once in canonical form.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 from .symbols import MultiplierSpec, preset, spec_from_text
 
-__all__ = ["RunConfig", "operator_from_config"]
+__all__ = ["FIELDS", "RunConfig", "operator_from_config", "parse_value"]
 
 
 @dataclass
@@ -60,122 +61,119 @@ class RunConfig:
     # -- serialization ----------------------------------------------------
 
     def to_ini(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["operator"] = {}
-        if self.expression:
-            cp["operator"]["expression"] = self.expression
-        else:
-            cp["operator"]["preset"] = self.preset
-            if self.nu is not None:
-                cp["operator"]["nu"] = repr(self.nu)
-            if self.terms:
-                cp["operator"]["terms"] = ",".join(
-                    f"{a!r}:{al!r}" for a, al in self.terms)
-        cp["grid"] = {"n": str(self.n), "length": repr(self.length)}
-        cp["front"] = {"method": self.front_method, "tol": repr(self.front_tol)}
-        cp["certificate"] = {
-            "eps": ",".join(repr(e) for e in self.eps_samples),
-            "fd_points": str(self.fd_points),
-        }
-        cp["perturbation"] = {
-            "kind": self.kind,
-            "amplitude": repr(self.amplitude),
-            "width": repr(self.width),
-            "seed": str(self.seed),
-        }
-        cp["stepper"] = {
-            "scheme": self.scheme,
-            "dt": repr(self.dt),
-            "gamma": repr(self.gamma),
-            "dealias": "true" if self.dealias else "false",
-            "t_end": repr(self.t_end),
-            "record_every": str(self.record_every),
-            "snapshot_every": str(self.snapshot_every),
-        }
-        cp["diagnostics"] = {
-            "p_list": ",".join(repr(p) for p in self.p_list),
-            "delta": repr(self.delta),
-        }
-        if self.fit_window:
-            cp["diagnostics"]["fit_window"] = ",".join(
-                repr(w) for w in self.fit_window)
-        if self.model:
-            cp["diagnostics"]["model"] = self.model
-        cp["output"] = {"directory": self.directory}
+        cp = configparser.ConfigParser(interpolation=None)
+        for section, key, attr, kind in FIELDS:
+            value = getattr(self, attr)
+            # canonical form: an expression replaces the preset keys, and
+            # empty optional keys are left out
+            if (self.expression and section == "operator" and key != "expression"
+                    or value in _EMPTY and getattr(RunConfig, attr) in _EMPTY):
+                continue
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp[section][key] = _format_value(kind, value)
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
 
     @staticmethod
     def from_ini(text: str) -> "RunConfig":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         cp.read_string(text)
         cfg = RunConfig()
-        op = cp["operator"] if cp.has_section("operator") else {}
-        cfg.expression = op.get("expression", "")
-        cfg.preset = op.get("preset", cfg.preset)
-        cfg.nu = float(op["nu"]) if "nu" in op else None
-        if "terms" in op:
-            cfg.terms = tuple(
-                tuple(float(x) for x in pair.split(":"))
-                for pair in op["terms"].split(",") if pair
-            )
-        if cp.has_section("grid"):
-            cfg.n = cp.getint("grid", "n", fallback=cfg.n)
-            cfg.length = cp.getfloat("grid", "length", fallback=cfg.length)
-        if cp.has_section("front"):
-            cfg.front_method = cp.get("front", "method", fallback=cfg.front_method)
-            cfg.front_tol = cp.getfloat("front", "tol", fallback=cfg.front_tol)
-        if cp.has_section("certificate"):
-            if cp.get("certificate", "eps", fallback=""):
-                cfg.eps_samples = tuple(
-                    float(e) for e in cp.get("certificate", "eps").split(","))
-            cfg.fd_points = cp.getint("certificate", "fd_points",
-                                      fallback=cfg.fd_points)
-        if cp.has_section("perturbation"):
-            sec = cp["perturbation"]
-            cfg.kind = sec.get("kind", cfg.kind)
-            cfg.amplitude = float(sec.get("amplitude", cfg.amplitude))
-            cfg.width = float(sec.get("width", cfg.width))
-            cfg.seed = int(sec.get("seed", cfg.seed))
-        if cp.has_section("stepper"):
-            sec = cp["stepper"]
-            cfg.scheme = sec.get("scheme", cfg.scheme)
-            cfg.dt = float(sec.get("dt", cfg.dt))
-            cfg.gamma = float(sec.get("gamma", cfg.gamma))
-            cfg.dealias = sec.get("dealias", "true").lower() in ("true", "1", "yes")
-            cfg.t_end = float(sec.get("t_end", cfg.t_end))
-            cfg.record_every = int(sec.get("record_every", cfg.record_every))
-            cfg.snapshot_every = int(sec.get("snapshot_every", cfg.snapshot_every))
-        if cp.has_section("diagnostics"):
-            sec = cp["diagnostics"]
-            if sec.get("p_list", ""):
-                cfg.p_list = tuple(float(p) for p in sec["p_list"].split(","))
-            cfg.delta = float(sec.get("delta", cfg.delta))
-            if sec.get("fit_window", ""):
-                cfg.fit_window = tuple(
-                    float(w) for w in sec["fit_window"].split(","))
-            cfg.model = sec.get("model", cfg.model)
-        if cp.has_section("output"):
-            cfg.directory = cp.get("output", "directory", fallback=cfg.directory)
+        for section in cp.sections():
+            if section not in _SECTIONS:
+                raise ValueError(f"unknown config section [{section}]")
+            for key, raw in cp[section].items():
+                row = _ROWS.get((section, key))
+                if row is None:
+                    raise ValueError(f"unknown config key {section}.{key}")
+                attr, kind = row
+                try:
+                    setattr(cfg, attr, parse_value(kind, raw))
+                except ValueError as exc:
+                    raise ValueError(f"{section}.{key}: {exc}") from None
         return cfg
 
     def snapshot(self) -> dict:
-        payload = asdict(self)
-        payload["terms"] = [list(t) for t in self.terms]
-        payload["eps_samples"] = list(self.eps_samples)
-        payload["p_list"] = list(self.p_list)
-        payload["fit_window"] = list(self.fit_window)
-        return payload
+        """JSON image of every field; tuples serialize as lists."""
+        return asdict(self)
 
     @staticmethod
     def from_snapshot(payload: dict) -> "RunConfig":
-        data = dict(payload)
-        data["terms"] = tuple(tuple(t) for t in data.get("terms", ()))
-        data["eps_samples"] = tuple(data.get("eps_samples", ()))
-        data["p_list"] = tuple(data.get("p_list", ()))
-        data["fit_window"] = tuple(data.get("fit_window", ()))
+        data = {}
+        for attr, value in payload.items():
+            kind = _KINDS.get(attr)
+            data[attr] = (tuple(tuple(v) for v in value) if kind == "pairs"
+                          else tuple(value) if kind == "floats" else value)
         return RunConfig(**data)
+
+
+# One row per INI key: (section, key, RunConfig attribute, value type).
+# Types: str, int, float, bool, floats (comma list) and pairs (comma list
+# of a:alpha).  A key whose RunConfig default is empty (None, "" or ())
+# is optional: to_ini leaves it out while it is empty.
+FIELDS = (
+    ("operator", "preset", "preset", "str"),
+    ("operator", "nu", "nu", "float"),
+    ("operator", "terms", "terms", "pairs"),
+    ("operator", "expression", "expression", "str"),
+    ("grid", "n", "n", "int"),
+    ("grid", "length", "length", "float"),
+    ("front", "method", "front_method", "str"),
+    ("front", "tol", "front_tol", "float"),
+    ("certificate", "eps", "eps_samples", "floats"),
+    ("certificate", "fd_points", "fd_points", "int"),
+    ("perturbation", "kind", "kind", "str"),
+    ("perturbation", "amplitude", "amplitude", "float"),
+    ("perturbation", "width", "width", "float"),
+    ("perturbation", "seed", "seed", "int"),
+    ("stepper", "scheme", "scheme", "str"),
+    ("stepper", "dt", "dt", "float"),
+    ("stepper", "gamma", "gamma", "float"),
+    ("stepper", "dealias", "dealias", "bool"),
+    ("stepper", "t_end", "t_end", "float"),
+    ("stepper", "record_every", "record_every", "int"),
+    ("stepper", "snapshot_every", "snapshot_every", "int"),
+    ("diagnostics", "p_list", "p_list", "floats"),
+    ("diagnostics", "fit_window", "fit_window", "floats"),
+    ("diagnostics", "delta", "delta", "float"),
+    ("diagnostics", "model", "model", "str"),
+    ("output", "directory", "directory", "str"),
+)
+_ROWS = {(section, key): (attr, kind) for section, key, attr, kind in FIELDS}
+_SECTIONS = {section for section, _, _, _ in FIELDS}
+_KINDS = {attr: kind for _, _, attr, kind in FIELDS}
+_EMPTY = (None, "", ())
+
+
+def parse_value(kind: str, text: str):
+    """Parse the text of one value of a FIELDS type; an empty list is ()."""
+    text = text.strip()
+    if kind == "floats":
+        return tuple(float(x) for x in text.split(",")) if text else ()
+    if kind == "pairs":
+        pairs = tuple(tuple(float(x) for x in pair.split(":"))
+                      for pair in text.split(",")) if text else ()
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"expected a:alpha pairs, got {text!r}")
+        return pairs
+    if kind == "bool":
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if text.lower() not in states:
+            raise ValueError(f"not a boolean: {text!r}")
+        return states[text.lower()]
+    return {"str": str, "int": int, "float": float}[kind](text)
+
+
+def _format_value(kind: str, value) -> str:
+    if kind == "floats":
+        return ",".join(repr(x) for x in value)
+    if kind == "pairs":
+        return ",".join(f"{a!r}:{alpha!r}" for a, alpha in value)
+    if kind == "bool":
+        return "true" if value else "false"
+    return repr(value) if kind == "float" else str(value)
 
 
 def operator_from_config(cfg: RunConfig) -> MultiplierSpec:

@@ -73,6 +73,14 @@ class NormSeries:
             return np.asarray(self.lp[float(name[3:])])
         return np.asarray(getattr(self, name), dtype=float)
 
+    def norm(self, p) -> np.ndarray:
+        """The recorded norm for exponent p: 'derivative' (||v'||_2), 1, 2,
+        inf, or a configured lp column."""
+        if p == "derivative":
+            return self.column("dv_l2")
+        p = float(p)
+        return self.column({1.0: "l1", 2.0: "l2", np.inf: "linf"}.get(p, f"lp:{p}"))
+
     def __len__(self):
         return len(self.t)
 
@@ -148,23 +156,17 @@ def frequency_split_series(snapshots: Sequence[tuple[float, Field]],
     """
     if not snapshots:
         raise ValueError("no snapshots available")
-    ts, lows, highs, slack = [], [], [], -np.inf
+    ts, lows, highs, slack, parseval = [], [], [], -np.inf, 0.0
     for t, f in snapshots:
         low, high = band_project(f, eps_freq)
         il = lp_norm(low, 2) ** 2
         ih = lp_norm(high, 2) ** 2
         total = lp_norm(f, 2) ** 2
-        defect = abs(total - il - ih) / max(total, 1e-300)
+        parseval = max(parseval, abs(il + ih - total) / max(total, 1e-300))
         slack = max(slack, il - 2.0 * eps_freq * lp_norm(f, 1) ** 2)
         ts.append(t)
         lows.append(il)
         highs.append(ih)
-    parseval = max(
-        abs(lp_norm(band_project(f, eps_freq)[0], 2) ** 2
-            + lp_norm(band_project(f, eps_freq)[1], 2) ** 2
-            - lp_norm(f, 2) ** 2) / max(lp_norm(f, 2) ** 2, 1e-300)
-        for _, f in snapshots
-    )
     eps_opt = None
     if c1 is not None:
         eps_opt = np.array([epsilon_of_time(t, c1) if t > 0 else np.nan
@@ -274,16 +276,7 @@ def compare_to_theorem(series: NormSeries, model: str,
         rate, beta = predicted_rate(model, p, delta)
         if rate is None:
             continue
-        if p == "derivative":
-            norm = series.column("dv_l2")
-        elif p == 1.0:
-            norm = series.column("l1")
-        elif p == 2.0:
-            norm = series.column("l2")
-        elif np.isinf(float(p)):
-            norm = series.column("linf")
-        else:
-            norm = series.column(f"lp:{float(p)}")
+        norm = series.norm(p)
         lo, hi = window
         mask = (t >= lo) & (t <= hi)
         if np.count_nonzero(mask) < 2:

@@ -86,6 +86,14 @@ class StepperConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.gamma <= 1.0:
             raise ValueError("modulation gain must exceed 1 for endpoints (1,-1)")
+        # on evolve's step grid a snapshot must fall on a record, t_end on a step
+        if self.record_every < 1 or self.snapshot_every % self.record_every:
+            raise ValueError("record_every must be >= 1 and divide snapshot_every "
+                             f"(got {self.record_every} and {self.snapshot_every})")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end ({self.t_end:g}) is not a whole number of "
+                             f"steps of dt ({self.dt:g})")
 
 
 def boundary_contamination(values: np.ndarray) -> float:
@@ -123,13 +131,12 @@ class _Workspace:
         self.k_max = grid.k_max
         self.mask = dealias_mask(n)[: k.size] if dealias else np.ones(k.size, bool)
         # the payload is masked through ik and phi_hat'
-        self.ik = np.where(self.mask, 1j * k, 0.0)
+        self.ik = np.where(self.mask, grid.ik[: k.size], 0.0)
         # Parseval weights: DC and Nyquist appear once in the full
         # spectrum, every other mode twice (with its conjugate)
         self.weight = np.full(k.size, 2.0)
         self.weight[0] = 1.0
         if n % 2 == 0:
-            self.ik[-1] = 0.0  # unpaired Nyquist mode of odd derivatives
             self.weight[-1] = 1.0
         self.lin = spec.values(k)
         if "laplacian" not in disable:

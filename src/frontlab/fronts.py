@@ -22,6 +22,7 @@ from .symbols import MultiplierSpec, preset
 
 __all__ = [
     "FrontError",
+    "NoBoundedFrontError",
     "HypothesisReport",
     "FrontProfile",
     "GalileanParams",
@@ -39,6 +40,10 @@ __all__ = [
 
 class FrontError(RuntimeError):
     pass
+
+
+class NoBoundedFrontError(FrontError):
+    """The symbol is O(1) at k=0, so L[ref] and the profile are unbounded."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def ref_d3(x):
 def _check_vanishing_symbol(spec: MultiplierSpec):
     probe = np.abs(spec.values(np.array([1e-8, 1e-6, 1e-4])))
     if np.max(probe) > 0.05:
-        raise FrontError(
+        raise NoBoundedFrontError(
             f"operator {spec.label!r}: symbol does not vanish at k=0 fast "
             "enough for a localized front correction (L[ref] unbounded)"
         )
@@ -193,22 +198,10 @@ def _hypothesis_report(grid: Grid, phi_prime: np.ndarray,
 
 def _spectral_pieces(grid: Grid, w: np.ndarray, symbol_values: np.ndarray):
     what = np.fft.fft(w)
-    ik = 1j * grid.k
-    if grid.n % 2 == 0:
-        ik = ik.copy()
-        ik[grid.n // 2] = 0.0
-    dw = np.fft.ifft(ik * what).real
+    dw = np.fft.ifft(grid.ik * what).real
     d2w = np.fft.ifft((1j * grid.k) ** 2 * what).real
     lw = np.fft.ifft(symbol_values * what).real
     return dw, d2w, lw
-
-
-def _first_derivative_symbol(grid: Grid) -> np.ndarray:
-    ik = 1j * grid.k
-    if grid.n % 2 == 0:
-        ik = ik.copy()
-        ik[grid.n // 2] = 0.0
-    return ik
 
 
 def _flux_residual(grid: Grid, w: np.ndarray, sym: np.ndarray,
@@ -220,15 +213,11 @@ def _flux_residual(grid: Grid, w: np.ndarray, sym: np.ndarray,
     seam jump, and the nonlinearity contributes exactly zero mean.
     """
     x = grid.x
-    what = np.fft.fft(w)
-    ik = _first_derivative_symbol(grid)
-    dw = np.fft.ifft(ik * what).real
-    d2w = np.fft.ifft((1j * grid.k) ** 2 * what).real
-    lw = np.fft.ifft(sym * what).real
+    dw, d2w, lw = _spectral_pieces(grid, w, sym)
     t0 = ref_profile(x)
     # phi^2 - 1 = -sech^2(x/2) + 2*ref*w + w^2, assembled without cancellation
     q = -1.0 / np.cosh(0.5 * x) ** 2 + 2.0 * t0 * w + w * w
-    flux = 0.5 * np.fft.ifft(ik * np.fft.fft(q)).real
+    flux = 0.5 * np.fft.ifft(grid.ik * np.fft.fft(q)).real
     res = -(ref_d2(x) + d2w) + flux - g - lw
     return res, dw
 
@@ -394,7 +383,6 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
     n, x = grid.n, grid.x
     g = operator_on_reference(spec, grid)
     sym = spec.values(grid.k)
-    ik = _first_derivative_symbol(grid)
     w = (initial_guess.phi.values - ref_profile(x)) if initial_guess is not None \
         else np.zeros(n)
 
@@ -418,7 +406,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
             zhat = np.fft.fft(z[:n])
             d2v = np.fft.ifft((1j * grid.k) ** 2 * zhat).real
             lv = np.fft.ifft(sym * zhat).real
-            dpz = np.fft.ifft(ik * np.fft.fft(phi * z[:n])).real
+            dpz = np.fft.ifft(grid.ik * np.fft.fft(phi * z[:n])).real
             out = np.empty(n + 1)
             out[:n] = -d2v + dpz - lv + z[n] * ones
             out[n] = z[pin_index]
@@ -552,9 +540,7 @@ def front_for_operator(spec: MultiplierSpec, grid: Grid,
         return shoot_local_front(spec.params["nu"], grid, tol=tol)
     try:
         return newton_front(spec, grid, tol=tol)
-    except FrontError as exc:
-        if "vanish at k=0" not in str(exc):
-            raise
+    except NoBoundedFrontError as exc:
         warnings.warn(
             f"{spec.label}: {exc}; using the Burgers reference profile "
             "(perturbation dynamics remain well-defined around it)"

@@ -9,6 +9,7 @@ band cutoffs are expressed in the ordinary frequency xi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,15 @@ class Grid:
     def k(self) -> np.ndarray:
         # angular wavenumbers 2*pi*m/length in FFT order, m = -n/2 .. n/2-1
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Read-only symbol i*k of d/dx, zero at the unpaired Nyquist mode."""
+        ik = 1j * self.k
+        if self.n % 2 == 0:
+            ik[self.n // 2] = 0.0
+        ik.flags.writeable = False
+        return ik
 
     @property
     def xi(self) -> np.ndarray:
@@ -121,10 +131,8 @@ def derivative(f: Field, order: int) -> Field:
     """Spectral d^order/dx^order for order in (1, 2, 3)."""
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
-    sym = (1j * f.grid.k) ** order
-    if order % 2 == 1 and f.grid.n % 2 == 0:
-        sym = sym.copy()
-        sym[f.grid.n // 2] = 0.0  # unpaired Nyquist mode of odd derivatives
+    # odd derivatives drop the unpaired Nyquist mode
+    sym = (f.grid.ik if order % 2 else 1j * f.grid.k) ** order
     return apply_multiplier(f, sym)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from frontlab import cli
 from frontlab.cli import main
 from frontlab.runio import read_profile, read_series_csv
 
@@ -166,6 +167,28 @@ def test_sweep_unknown_key(tmp_path):
     cfg.write_text(CONFIG)
     assert run_cli(["sweep", "--config", str(cfg),
                     "--set", "grid.nonsense=1,2"]) == 1
+    # the sweep names each run's directory itself
+    assert run_cli(["sweep", "--config", str(cfg),
+                    "--set", "output.directory=a,b"]) == 1
+
+
+def test_sweep_reaches_every_key_type(tmp_path):
+    """A bool key and a list key, whose values are separated by ';'."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.2")
+                   .replace("preset = kdvb\nnu = -0.24",
+                            "preset = frac\nterms = 1.0:0.5"))
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
+                    "--set", "stepper.dealias=false"]) == 0
+    snap = json.loads((out / "dealias_false" / "config.snapshot").read_text())
+    assert snap["dealias"] is False
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
+                    "--set", "operator.terms=1.0:0.5;0.5:0.5,0.5:0.75"]) == 0
+    snap = json.loads((out / "terms_0.5:0.5,0.5:0.75" / "config.snapshot")
+                      .read_text())
+    assert snap["terms"] == [[0.5, 0.5], [0.5, 0.75]]
+    assert (out / "terms_1.0:0.5" / "series.csv").exists()
 
 
 def test_certify_sweep_nu(tmp_path, capsys):
@@ -220,3 +243,40 @@ def test_oracle_reads_config(tmp_path):
     cfg.write_text(CONFIG.replace("preset = kdvb\nnu = -0.24", "preset = burgers"))
     assert run_cli(["oracle", "--config", str(cfg), "--times", "0.5",
                     "--threshold", "1e-6"]) == 0
+
+
+def test_oracle_runs_on_config_grid(tmp_path, monkeypatch):
+    grids = []
+    make_grid = cli.make_grid
+
+    def recording_make_grid(n, length):
+        grids.append((n, length))
+        return make_grid(n, length)
+
+    monkeypatch.setattr(cli, "make_grid", recording_make_grid)
+    cfg = tmp_path / "oracle.ini"
+    cfg.write_text(CONFIG.replace("preset = kdvb\nnu = -0.24", "preset = burgers")
+                   .replace("length = 80.0", "length = 40.0"))
+    assert run_cli(["oracle", "--config", str(cfg), "--times", "0.1",
+                    "--threshold", "1e-6"]) == 0
+    assert grids and set(grids) == {(512, 40.0)}
+
+
+def test_malformed_config_exit_code(tmp_path):
+    cfg = tmp_path / "bad.ini"
+    for text in ("n = 512\n", CONFIG.replace("t_end = 2.0", "t_ends = 2.0"),
+                 CONFIG.replace("kind = gaussian", "kind = gaussian ; comment")):
+        cfg.write_text(text)
+        assert run_cli(["simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "bad_run")]) == 1
+
+
+def test_simulate_bad_cadence_fails_before_front(tmp_path, monkeypatch):
+    def no_front(*args, **kwargs):
+        raise AssertionError("front solved for a config that cannot run")
+
+    monkeypatch.setattr(cli, "_solve_front", no_front)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(CONFIG.replace("snapshot_every = 250", "snapshot_every = 60"))
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "bad_run")]) == 1

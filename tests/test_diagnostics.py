@@ -114,6 +114,16 @@ def test_frequency_split_parseval_and_bernstein():
     assert split.bernstein_slack <= 0.0
 
 
+def test_norm_series_norm_for_p():
+    series = NormSeries(p_list=(1.5, 4.0))
+    for i, t in enumerate((0.0, 1.0)):
+        series.append(t, 0.0, 0.0, 1.0 + i, 2.0 + i, 3.0 + i, [4.0 + i, 5.0 + i],
+                      6.0 + i, 7.0 + i)
+    for p, name in (("derivative", "dv_l2"), (1, "l1"), (2.0, "l2"),
+                    (np.inf, "linf"), (1.5, "lp:1.5"), (4, "lp:4.0")):
+        assert np.array_equal(series.norm(p), series.column(name))
+
+
 def test_frequency_split_requires_snapshots():
     with pytest.raises(ValueError):
         frequency_split_series([], 0.1)

@@ -228,6 +228,20 @@ def test_stepper_config_validation():
         StepperConfig(dt=1e-3, t_end=1.0, gamma=0.9)
 
 
+def test_stepper_config_rejects_snapshots_between_records():
+    """Snapshots are taken on records, so their cadence must be a multiple."""
+    with pytest.raises(ValueError, match="divide snapshot_every"):
+        StepperConfig(dt=0.01, t_end=0.6, record_every=10, snapshot_every=15)
+    StepperConfig(dt=0.01, t_end=0.6, record_every=10, snapshot_every=30)
+
+
+def test_stepper_config_rejects_partial_last_step():
+    """A t_end off the step grid would end the run at another time."""
+    with pytest.raises(ValueError, match="whole number of steps"):
+        StepperConfig(dt=0.3, t_end=1.0)
+    StepperConfig(dt=0.004, t_end=60.0)  # 15000 steps up to roundoff
+
+
 # ---------------------------------------------------------------------------
 # Full runs
 

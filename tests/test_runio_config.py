@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,25 @@ def test_config_ini_round_trip():
 def test_config_snapshot_round_trip():
     cfg = RunConfig(preset="kdvb", nu=-0.24, snapshot_every=100)
     assert RunConfig.from_snapshot(cfg.snapshot()) == cfg
+
+
+def test_config_values_are_validated():
+    assert RunConfig.from_ini("[stepper]\ndealias = on\n").dealias is True
+    assert RunConfig.from_ini("[stepper]\ndealias = 0\n").dealias is False
+    for text in ("[stepper]\ndealias = ture\n", "[stepper]\nt_ends = 5\n",
+                 "[steper]\nt_end = 5\n", "[operator]\nterms = 1.0\n",
+                 "[grid]\nn = 1024.5\n"):
+        with pytest.raises(ValueError):
+            RunConfig.from_ini(text)
+
+
+def test_readme_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = RunConfig.from_ini(block)
+    assert (cfg.preset, cfg.nu, cfg.n, cfg.kind, cfg.amplitude) == \
+        ("kdvb", -0.24, 2048, "gaussian", 0.5)
+    assert (cfg.scheme, cfg.p_list, cfg.model) == ("etdrk4", (1.5, 4.0), "kdvb")
 
 
 def test_operator_from_config_variants():
