@@ -53,6 +53,20 @@ class SchrodingerDiscretization:
         return self.diag.size
 
 
+def _lattice(m: int, half_width: float) -> tuple[float, np.ndarray]:
+    """Spacing and the m interior nodes of [-half_width, half_width]."""
+    if m < 200:
+        raise ValueError("need at least 200 interior points")
+    h = 2.0 * half_width / (m + 1)
+    return h, -half_width + h * np.arange(1, m + 1)
+
+
+def _tridiagonal(v_nodes: np.ndarray, eps: float, h: float):
+    """(diag, offdiag) of -(1-eps) u'' + V u, second-order FD with spacing h."""
+    mu = (1.0 - eps) / (h * h)
+    return 2.0 * mu + v_nodes, np.full(v_nodes.size - 1, -mu)
+
+
 def schrodinger_tridiagonal(potential: Callable[[np.ndarray], np.ndarray],
                             eps: float, m: int,
                             half_width: float) -> SchrodingerDiscretization:
@@ -60,13 +74,8 @@ def schrodinger_tridiagonal(potential: Callable[[np.ndarray], np.ndarray],
     m interior points and Dirichlet truncation."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    if m < 200:
-        raise ValueError("need at least 200 interior points")
-    h = 2.0 * half_width / (m + 1)
-    nodes = -half_width + h * np.arange(1, m + 1)
-    mu = (1.0 - eps) / (h * h)
-    diag = 2.0 * mu + np.asarray(potential(nodes), dtype=float)
-    off = np.full(m - 1, -mu)
+    h, nodes = _lattice(m, half_width)
+    diag, off = _tridiagonal(np.asarray(potential(nodes), dtype=float), eps, h)
     return SchrodingerDiscretization(diag=diag, offdiag=off, nodes=nodes,
                                      eps=float(eps), half_width=float(half_width))
 
@@ -142,13 +151,9 @@ class SpectralCertificate:
         return SpectralCertificate(**raw)
 
 
-def _counts_from_values(v_nodes: np.ndarray, eps: float, half_width: float):
-    m = v_nodes.size
-    h = 2.0 * half_width / (m + 1)
-    mu = (1.0 - eps) / (h * h)
-    diag = 2.0 * mu + v_nodes
-    off = np.full(m - 1, -mu)
-    # eigenvalues within the tolerance of zero count as nonnegative
+def _inertia(v_nodes: np.ndarray, eps: float, h: float) -> tuple[int, bool]:
+    """Count below -tol and whether an eigenvalue lies within tol of zero."""
+    diag, off = _tridiagonal(v_nodes, eps, h)
     count = count_below(diag, off, -ZERO_EIGENVALUE_TOL)
     upper = count_below(diag, off, ZERO_EIGENVALUE_TOL)
     return count, upper != count
@@ -169,23 +174,17 @@ def certify_front(front: FrontProfile,
             raise ValueError("eps samples must lie in (0, 1)")
     if half_width is None:
         half_width = 0.45 * front.grid.length
-    if m < 200:
-        raise ValueError("need at least 200 interior points")
 
+    h1, nodes1 = _lattice(m, half_width)
+    h2, nodes2 = _lattice(2 * m, half_width)
     # potential values are eps-independent; interpolate once per node set
-    def potential_nodes(points):
-        h = 2.0 * half_width / (points + 1)
-        nodes = -half_width + h * np.arange(1, points + 1)
-        return 0.5 * front.phi_prime_at(nodes)
-
-    v_coarse = potential_nodes(m)
-    v_fine = potential_nodes(2 * m)
+    v1, v2 = 0.5 * front.phi_prime_at(nodes1), 0.5 * front.phi_prime_at(nodes2)
 
     eps_all = (0.0,) + tuple(float(e) for e in eps_samples)
     counts, flags, agree = [], [], True
     for eps in eps_all:
-        c1, f1 = _counts_from_values(v_coarse, eps, half_width)
-        c2, f2 = _counts_from_values(v_fine, eps, half_width)
+        c1, f1 = _inertia(v1, eps, h1)
+        c2, f2 = _inertia(v2, eps, h2)
         counts.append(int(c2))
         flags.append(bool(f1 or f2))
         agree = agree and (c1 == c2)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -35,6 +36,16 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERTIFICATION = 2
 EXIT_INSTABILITY = 3
+
+# expected failures and their exit codes, for main and for each sweep run
+FAILURE_EXIT = {SymbolError: EXIT_USAGE, FrontError: EXIT_USAGE,
+                ValueError: EXIT_USAGE, configparser.Error: EXIT_USAGE,
+                StabilityError: EXIT_INSTABILITY}
+
+
+def _failure_exit(exc: Exception) -> int:
+    return next(code for kind, code in FAILURE_EXIT.items()
+                if isinstance(exc, kind))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,10 +352,13 @@ def _parse_p(text: str):
     return float(text)
 
 
-def _simulate_worker(snapshot: dict) -> tuple[str, int, dict]:
+def _simulate_worker(snapshot: dict) -> tuple[str, int, dict, str]:
     cfg = RunConfig.from_snapshot(snapshot)
-    status, summary = _run_pipeline(cfg)
-    return cfg.directory, status, summary
+    try:
+        status, summary = _run_pipeline(cfg)
+    except tuple(FAILURE_EXIT) as exc:
+        return cfg.directory, _failure_exit(exc), {}, str(exc)
+    return cfg.directory, status, summary, ""
 
 
 def cmd_sweep(args) -> int:
@@ -374,13 +388,15 @@ def cmd_sweep(args) -> int:
         results = [_simulate_worker(j) for j in jobs]
 
     base_dir.mkdir(parents=True, exist_ok=True)
-    with open(base_dir / "summary.csv", "w") as fh:
-        fh.write("directory,status,monotonicity_violations,l2_final\n")
-        for directory, status, summary in results:
-            fh.write(f"{directory},{status},"
-                     f"{summary.get('monotonicity_violations', '')},"
-                     f"{summary.get('l2_final', '')}\n")
-    worst = max((status for _, status, _ in results), default=0)
+    with open(base_dir / "summary.csv", "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["directory", "status", "monotonicity_violations",
+                      "l2_final", "error"])
+        for directory, status, summary, error in results:
+            out.writerow([directory, status,
+                          summary.get("monotonicity_violations", ""),
+                          summary.get("l2_final", ""), error])
+    worst = max((status for _, status, _, _ in results), default=0)
     print(f"{len(results)} runs under {base_dir} (worst exit {worst})")
     return worst
 
@@ -452,12 +468,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SymbolError, FrontError, ValueError, configparser.Error) as exc:
+    except tuple(FAILURE_EXIT) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StabilityError as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
+        return _failure_exit(exc)
 
 
 if __name__ == "__main__":

@@ -13,12 +13,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .spectral import Field, Grid, trig_interpolate
-from .symbols import MultiplierSpec, preset
+from .symbols import MultiplierSpec, preset, rescale_symbol
 
 __all__ = [
     "FrontError",
@@ -105,36 +103,6 @@ def operator_on_reference(spec: MultiplierSpec, grid: Grid) -> np.ndarray:
     phase = np.where(grid.modes % 2 == 0, 1.0, -1.0)
     g = grid.n * np.fft.ifft(coeff * phase)
     return g.real
-
-
-def operator_on_reference_line(spec: MultiplierSpec, x: np.ndarray) -> np.ndarray:
-    """L[ref] on the line by slow Fourier quadrature (oracle for tests).
-
-    L[ref](x) = -int l(k)/(i*sinh(pi*k)) exp(i*k*x) dk over composite
-    Gauss-Legendre panels, graded toward the k=0 kink.
-    """
-    if spec.is_zero:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    _check_vanishing_symbol(spec)
-    x = np.asarray(x, dtype=float)
-    x_max = float(np.max(np.abs(x))) if x.size else 1.0
-    width = max(0.02, min(0.5, 6.0 / max(x_max, 1.0)))
-    k_top = 18.0
-    edges = np.concatenate(
-        [[0.0], np.geomspace(1e-9, width, 24),
-         np.arange(2.0 * width, k_top, width), [k_top]]
-    )
-    edges = np.unique(edges)
-    qx, qw = leggauss(12)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * qx[None, :]).ravel()
-    wts = (half[:, None] * qw[None, :]).ravel()
-
-    f = spec.values(nodes) / (1j * np.sinh(np.pi * nodes))
-    # Hermitian pairing folds the k<0 half-line into 2*Re[f e^{ikx}]
-    phases = np.exp(1j * np.outer(x, nodes))
-    return -2.0 * (phases @ (wts * f)).real
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +202,8 @@ def profile_residual(profile: FrontProfile, spec: MultiplierSpec | None = None) 
 
 def _build_profile(grid: Grid, phi: np.ndarray, phi_prime: np.ndarray,
                    spec: MultiplierSpec, method: str,
-                   phi_second: np.ndarray | None = None,
-                   exact: bool = True,
-                   residual: float | None = None) -> FrontProfile:
-    if phi_second is None:
-        w = phi - ref_profile(grid.x)
-        _, d2w, _ = _spectral_pieces(grid, w, np.zeros(grid.n, dtype=complex))
-        phi_second = ref_d2(grid.x) + d2w
+                   phi_second: np.ndarray,
+                   exact: bool = True) -> FrontProfile:
     prof = FrontProfile(
         grid=grid,
         phi=Field(grid, phi),
@@ -252,10 +215,8 @@ def _build_profile(grid: Grid, phi: np.ndarray, phi_prime: np.ndarray,
         method=method,
         exact=exact,
     )
-    if residual is None and exact:
-        residual = profile_residual(prof)
-    object.__setattr__(prof, "residual_sup",
-                       float(residual) if residual is not None else np.nan)
+    if exact:
+        object.__setattr__(prof, "residual_sup", profile_residual(prof))
     return prof
 
 
@@ -275,86 +236,77 @@ def reference_front(grid: Grid, spec: MultiplierSpec) -> FrontProfile:
     """The Burgers profile used as a reference potential for an operator
     whose profile equation has no localized front (residual not defined)."""
     x = grid.x
-    prof = _build_profile(grid, ref_profile(x), ref_d1(x), spec,
-                          "reference", phi_second=ref_d2(x),
-                          exact=False, residual=np.nan)
-    return prof
+    return _build_profile(grid, ref_profile(x), ref_d1(x), spec,
+                          "reference", phi_second=ref_d2(x), exact=False)
 
 
-def _shoot_normalized(a: float, targets: np.ndarray, tol: float):
+def _shoot_normalized(a: float, targets: np.ndarray):
     """Heteroclinic orbit of a*phi'' + phi' + (1-phi^2)/2 = 0 for a > 0,
-    phased so phi(0) = 0.  Returns (phi, phi') at the requested points."""
+    phased so phi(0) = 0.  Returns (phi, phi') at the requested points.
+
+    The equation is autonomous, so the manifold amplitude only translates
+    the orbit: one integration is read off at targets + x_c, x_c its first
+    downward zero; past x_c the flow is attracted to phi = -1.
+    """
     mu = (-1.0 + np.sqrt(1.0 + 4.0 * a)) / (2.0 * a)  # unstable rate at phi=1
     # second-order unstable-manifold expansion phi = 1 - d + c2*d^2 keeps the
     # matching error at O(d^3); starting with d ~ 1e-6 avoids the float
     # quantization of 1 - d that a start deeper in the tail would hit
     c2 = 1.0 / (2.0 * (3.0 - 2.0 * mu))
-    x_start = -min(float(np.max(np.abs(targets))) + 5.0, 14.0 / mu)
+    delta = 1e-6
 
-    def manifold_state(d):
-        return [1.0 - d + c2 * d * d, -mu * d + 2.0 * mu * c2 * d * d]
+    def manifold(s):
+        """(phi, phi') on the manifold, s <= 0 measured from the start."""
+        d = delta * np.exp(mu * s)
+        return np.array([1.0 - d + c2 * d * d, -mu * d + 2.0 * mu * c2 * d * d])
 
     def rhs(x, y):
         return [y[1], -(y[1] + 0.5 * (1.0 - y[0] ** 2)) / a]
+
+    def crossing(x, y):
+        return y[0]
+    crossing.direction = -1
 
     def blowup(x, y):
         return abs(y[0]) - 3.0
     blowup.terminal = True
 
-    def phi_at_zero(log_delta):
-        sol = solve_ivp(rhs, (x_start, 0.0), manifold_state(np.exp(log_delta)),
-                        method="DOP853", rtol=1e-13, atol=1e-15,
-                        events=blowup, dense_output=False,
-                        t_eval=[0.0], max_step=0.5)
-        if sol.t.size == 0 or not sol.success:
-            return -3.0  # ran into the blowup guard before reaching x=0
-        return float(sol.y[0, -1])
-
-    lo, hi = np.log(1e-9), np.log(0.45)
-    f_lo, f_hi = phi_at_zero(lo), phi_at_zero(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise FrontError(
-            f"shooting bracket failed for nu={a:g}: "
-            f"phi(0) in [{f_hi:.3g}, {f_lo:.3g}] over the delta bracket"
-        )
-    log_delta = brentq(phi_at_zero, lo, hi, xtol=1e-14, rtol=1e-15)
-    delta = np.exp(log_delta)
-
-    x_end = float(np.max(targets)) + 1.0
-    sol = solve_ivp(rhs, (x_start, x_end), manifold_state(delta),
+    # u = 1 - phi obeys a*u'' + u' = u*(1 - u/2) >= u/2 until the crossing,
+    # so u grows at least at the rate of a*r^2 + r = 1/2 and reaches 1
+    # before log(1/delta)/r
+    rate = (-1.0 + np.sqrt(1.0 + 2.0 * a)) / (2.0 * a)
+    span = np.log(1.0 / delta) / rate + float(np.max(targets)) + 1.0
+    sol = solve_ivp(rhs, (0.0, span), manifold(0.0),
                     method="DOP853", rtol=1e-13, atol=1e-15,
-                    dense_output=True, events=blowup, max_step=0.5)
-    if not sol.success or (sol.t_events[0].size > 0):
+                    dense_output=True, events=(crossing, blowup), max_step=0.5)
+    if sol.status != 0 or sol.t_events[0].size == 0:
         raise FrontError(f"shooting integration failed for nu={a:g}")
 
-    phi = np.empty_like(targets)
-    dphi = np.empty_like(targets)
-    inside = targets >= x_start
-    vals = sol.sol(targets[inside])
-    phi[inside] = vals[0]
-    dphi[inside] = vals[1]
-    # left of the start point: the manifold expansion continues the tail
-    d_tail = delta * np.exp(mu * (targets[~inside] - x_start))
-    phi[~inside] = 1.0 - d_tail + c2 * d_tail * d_tail
-    dphi[~inside] = -mu * d_tail + 2.0 * mu * c2 * d_tail * d_tail
-    return phi, dphi
+    s = targets + sol.t_events[0][0]
+    inside = s >= 0.0
+    out = np.empty((2, targets.size))
+    out[:, inside] = sol.sol(s[inside])
+    # left of the start point the manifold expansion continues the tail
+    out[:, ~inside] = manifold(s[~inside])
+    return out[0], out[1]
 
 
 def shoot_local_front(nu: float, grid: Grid, tol: float = 1e-8) -> FrontProfile:
     """KdV-Burgers front via shooting on the first integral
     nu*phi'' + phi' + (1-phi^2)/2 = 0 (one integration of the profile
-    equation using the endpoint limits).  Bisection on the unstable-manifold
-    amplitude pins the phase phi(0) = 0.
+    equation using the endpoint limits).  One dense integration from the
+    unstable manifold of phi = 1, shifted to its zero crossing, pins the
+    phase phi(0) = 0.
     """
     if nu == 0.0:
         raise ValueError("nu must be nonzero; use closed_form_burgers")
     spec = preset("kdvb", nu=float(nu))
     x = grid.x
     if nu > 0.0:
-        phi, dphi = _shoot_normalized(nu, x, tol)
+        phi, dphi = _shoot_normalized(nu, x)
     else:
         # phi_{-nu}(x) = -phi_{nu}(-x) maps the nu<0 problem to nu>0
-        psi, dpsi = _shoot_normalized(-nu, -x, tol)
+        psi, dpsi = _shoot_normalized(-nu, -x)
         phi, dphi = -psi, dpsi
     d2 = -(dphi + 0.5 * (1.0 - phi ** 2)) / nu
     prof = _build_profile(grid, phi, dphi, spec, "shooting", phi_second=d2)
@@ -494,8 +446,6 @@ class GalileanParams:
 def galilean_normalize(u_minus: float, u_plus: float,
                        spec: MultiplierSpec) -> tuple[GalileanParams, MultiplierSpec]:
     """Compute c = (u-+u+)/(u--u+), lam = (u--u+)/2 and rescale the symbol."""
-    from .symbols import rescale_symbol
-
     if not u_minus > u_plus:
         raise ValueError("endpoints must satisfy u_minus > u_plus")
     lam = 0.5 * (u_minus - u_plus)

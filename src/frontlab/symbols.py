@@ -319,9 +319,14 @@ def _provably_nonneg(node: Node) -> bool:
 
 
 def _check_power(base: Node, exponent: Node, offset: int):
-    e = _fold_const(exponent)
+    try:
+        e = _fold_const(exponent)
+    except (ZeroDivisionError, OverflowError):
+        e = complex(np.nan)
     if e is None:
         raise SymbolSyntaxError("exponent must not depend on k", offset)
+    if not np.isfinite(e):
+        raise SymbolSyntaxError("exponent is not a finite constant", offset)
     if e.imag != 0.0:
         raise SymbolSyntaxError("exponent must be real", offset)
     if not float(e.real).is_integer() and not _provably_nonneg(base):

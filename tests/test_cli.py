@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -73,9 +74,14 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
-def test_bad_operator_exit_code(tmp_path):
-    assert run_cli(["front", "--operator", "k^^2",
+@pytest.mark.parametrize("text,offset", [
+    ("k^^2", 2), ("k^(1/0)", 1), ("k^(0^-1)", 1),
+    ("abs(k)^(10^400)", 6), ("abs(k)^(1e308*10)", 6),
+])
+def test_bad_operator_exit_code(tmp_path, capsys, text, offset):
+    assert run_cli(["front", "--operator", text,
                     "--out", str(tmp_path / "x")]) == 1
+    assert f"(offset {offset})" in capsys.readouterr().err
 
 
 def test_simulate_run_directory(tmp_path, capsys):
@@ -160,6 +166,24 @@ def test_sweep_runs(tmp_path):
     assert len(summary) == 3
     assert (out / "amplitude_0.1" / "series.csv").exists()
     assert (out / "amplitude_0.2" / "series.csv").exists()
+
+
+def test_sweep_keeps_finished_runs(tmp_path):
+    """A run that raises becomes a row; the finished runs stay listed."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    out = tmp_path / "sw"
+    code = run_cli(["sweep", "--config", str(cfg),
+                    "--set", "perturbation.kind=gaussian,nonsense",
+                    "--out", str(out)])
+    assert code == 1
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["0", "1"]
+    assert rows[0]["error"] == "" and float(rows[0]["l2_final"]) > 0.0
+    assert "nonsense" in rows[1]["error"]
+    assert rows[1]["l2_final"] == ""
+    assert (out / "kind_gaussian" / "series.csv").exists()
 
 
 def test_sweep_unknown_key(tmp_path):

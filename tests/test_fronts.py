@@ -2,15 +2,106 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from frontlab import (Field, FrontError, closed_form_burgers,
+from frontlab import (Field, FrontError, certify_front, closed_form_burgers,
                       denormalize_solution, front_for_operator,
                       galilean_normalize, lp_norm, make_grid, newton_front,
                       preset, profile_residual, shoot_local_front)
-from frontlab.fronts import (FrontProfile, operator_on_reference,
-                             operator_on_reference_line, ref_d3, ref_profile,
+from frontlab.fronts import (FrontProfile, _build_profile,
+                             _check_vanishing_symbol, _shoot_normalized,
+                             operator_on_reference, ref_d3, ref_profile,
                              reference_front)
+
+
+def operator_on_reference_line(spec, x):
+    """L[ref] on the line by slow Fourier quadrature (oracle).
+
+    L[ref](x) = -int l(k)/(i*sinh(pi*k)) exp(i*k*x) dk over composite
+    Gauss-Legendre panels, graded toward the k=0 kink.
+    """
+    if spec.is_zero:
+        return np.zeros_like(np.asarray(x, dtype=float))
+    _check_vanishing_symbol(spec)
+    x = np.asarray(x, dtype=float)
+    x_max = float(np.max(np.abs(x))) if x.size else 1.0
+    width = max(0.02, min(0.5, 6.0 / max(x_max, 1.0)))
+    k_top = 18.0
+    edges = np.concatenate(
+        [[0.0], np.geomspace(1e-9, width, 24),
+         np.arange(2.0 * width, k_top, width), [k_top]]
+    )
+    edges = np.unique(edges)
+    qx, qw = leggauss(12)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + half[:, None] * qx[None, :]).ravel()
+    wts = (half[:, None] * qw[None, :]).ravel()
+
+    f = spec.values(nodes) / (1j * np.sinh(np.pi * nodes))
+    # Hermitian pairing folds the k<0 half-line into 2*Re[f e^{ikx}]
+    phases = np.exp(1j * np.outer(x, nodes))
+    return -2.0 * (phases @ (wts * f)).real
+
+
+def bisection_shoot(a, targets):
+    """Heteroclinic orbit of a*phi'' + phi' + (1-phi^2)/2 = 0 for a > 0,
+    phased so phi(0) = 0 by bisecting the unstable-manifold amplitude
+    (oracle for the single-integration shooting; one solve_ivp per
+    bisection step, then one dense integration)."""
+    mu = (-1.0 + np.sqrt(1.0 + 4.0 * a)) / (2.0 * a)
+    c2 = 1.0 / (2.0 * (3.0 - 2.0 * mu))
+    x_start = -min(float(np.max(np.abs(targets))) + 5.0, 14.0 / mu)
+
+    def manifold_state(d):
+        return [1.0 - d + c2 * d * d, -mu * d + 2.0 * mu * c2 * d * d]
+
+    def rhs(x, y):
+        return [y[1], -(y[1] + 0.5 * (1.0 - y[0] ** 2)) / a]
+
+    def blowup(x, y):
+        return abs(y[0]) - 3.0
+    blowup.terminal = True
+
+    def phi_at_zero(log_delta):
+        sol = solve_ivp(rhs, (x_start, 0.0), manifold_state(np.exp(log_delta)),
+                        method="DOP853", rtol=1e-13, atol=1e-15,
+                        events=blowup, dense_output=False,
+                        t_eval=[0.0], max_step=0.5)
+        if sol.t.size == 0 or not sol.success:
+            return -3.0  # ran into the blowup guard before reaching x=0
+        return float(sol.y[0, -1])
+
+    lo, hi = np.log(1e-9), np.log(0.45)
+    assert phi_at_zero(lo) > 0.0 > phi_at_zero(hi)
+    delta = np.exp(brentq(phi_at_zero, lo, hi, xtol=1e-14, rtol=1e-15))
+
+    x_end = float(np.max(targets)) + 1.0
+    sol = solve_ivp(rhs, (x_start, x_end), manifold_state(delta),
+                    method="DOP853", rtol=1e-13, atol=1e-15,
+                    dense_output=True, events=blowup, max_step=0.5)
+    assert sol.success and sol.t_events[0].size == 0
+
+    phi = np.empty_like(targets)
+    dphi = np.empty_like(targets)
+    inside = targets >= x_start
+    phi[inside], dphi[inside] = sol.sol(targets[inside])
+    d_tail = delta * np.exp(mu * (targets[~inside] - x_start))
+    phi[~inside] = 1.0 - d_tail + c2 * d_tail * d_tail
+    dphi[~inside] = -mu * d_tail + 2.0 * mu * c2 * d_tail * d_tail
+    return phi, dphi
+
+
+def bisection_front(nu, grid):
+    """The KdV-Burgers front built from the bisection oracle."""
+    a, sign = abs(nu), np.sign(nu)
+    psi, dpsi = bisection_shoot(a, sign * grid.x)
+    phi, dphi = sign * psi, dpsi
+    d2 = -(dphi + 0.5 * (1.0 - phi ** 2)) / nu
+    return _build_profile(grid, phi, dphi, preset("kdvb", nu=float(nu)),
+                          "shooting", phi_second=d2)
 
 
 def explicit_kdvb_profile(y):
@@ -99,6 +190,36 @@ def test_monotonicity_threshold(nu, monotone):
         warnings.simplefilter("ignore")
         prof = shoot_local_front(nu, g)
     assert (np.max(prof.phi_prime.values) <= 1e-10) == monotone
+
+
+# nu < 0, monotone and oscillating fronts on the standard box, and two
+# criterion-5 sweep values on the sweep's box
+SHOOTING_CASES = [(nu, 1024, 80.0) for nu in
+                  (0.05, 0.1, 0.15, 0.2, 0.25, -0.24, 0.26, 0.5, 1.0)] + \
+                 [(1.6, 4096, 160.0), (4.6, 4096, 460.0)]
+
+
+@pytest.mark.parametrize("nu,n,length", SHOOTING_CASES)
+def test_shooting_matches_bisection_oracle(nu, n, length):
+    g = make_grid(n, length)
+    targets = np.sign(nu) * g.x
+    phi, dphi = _shoot_normalized(abs(nu), targets)
+    want_phi, want_dphi = bisection_shoot(abs(nu), targets)
+    assert np.max(np.abs(phi - want_phi)) <= 1e-9
+    assert np.max(np.abs(dphi - want_dphi)) <= 1e-9
+    assert abs(phi[n // 2]) <= 1e-12  # x = 0 is a grid point
+
+
+@pytest.mark.parametrize("nu", [0.05, -0.24, 0.5])
+def test_shooting_certificate_matches_oracle_front(nu):
+    g = make_grid(1024, 80.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = certify_front(shoot_local_front(nu, g), strict=False)
+        want = certify_front(bisection_front(nu, g), strict=False)
+    assert got.counts == want.counts
+    assert got.near_zero_flags == want.near_zero_flags
+    assert got.richardson_ok == want.richardson_ok
 
 
 def test_shooting_rejects_zero_nu(grid_std):

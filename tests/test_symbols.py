@@ -185,3 +185,14 @@ def test_rescaled_presets_stay_admissible(lam):
 def test_parse_rejects_non_finite_literal():
     with pytest.raises(SymbolSyntaxError, match="non-finite"):
         parse_symbol("1e999*k")
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("k^(1/0)", 1), ("k^(0^-1)", 1),
+    ("abs(k)^(10^400)", 6), ("abs(k)^(1e308*10)", 6),
+])
+def test_parse_rejects_exponent_that_does_not_fold(text, offset):
+    """Division by zero, overflow and an infinite folded exponent."""
+    with pytest.raises(SymbolSyntaxError, match="finite constant") as err:
+        parse_symbol(text)
+    assert err.value.offset == offset
