@@ -107,7 +107,7 @@ def count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> int:
                     break
                 count += d < 0.0
         if pivot_ok:
-            return count
+            return int(count)
         # downward keeps an eigenvalue tied with the shift out of the
         # strictly-below count
         shift -= 1e-13 * max(scale, 1.0)
@@ -141,7 +141,8 @@ class SpectralCertificate:
     front_residual: float = float("nan")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=float)
+        from .runio import to_json  # runio imports this module
+        return to_json(asdict(self))
 
     @staticmethod
     def from_json(text: str) -> "SpectralCertificate":
@@ -185,8 +186,8 @@ def certify_front(front: FrontProfile,
     for eps in eps_all:
         c1, f1 = _inertia(v1, eps, h1)
         c2, f2 = _inertia(v2, eps, h2)
-        counts.append(int(c2))
-        flags.append(bool(f1 or f2))
+        counts.append(c2)
+        flags.append(f1 or f2)
         agree = agree and (c1 == c2)
     if strict and not agree:
         raise CertificationError(

@@ -9,15 +9,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
-import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, runio
 from .certify import (CertificationError, certify_front, sweep_nu,
                       DEFAULT_EPS_SAMPLES)
 from .config import FIELDS, RunConfig, operator_from_config, parse_value
@@ -27,8 +25,6 @@ from .evolution import (StabilityError, StepperConfig, cole_hopf_exact, evolve,
                      make_perturbation)
 from .fronts import (FrontError, closed_form_burgers, front_for_operator,
                      newton_front, shoot_local_front)
-from .runio import (RunWriter, read_profile, read_series_csv, write_profile,
-                    write_certificate, write_sweep_csv)
 from .spectral import Field, lp_norm, make_grid, trig_interpolate
 from .symbols import SymbolError
 
@@ -107,8 +103,7 @@ def cmd_front(args) -> int:
     cfg = _config_from_args(args)
     cfg.front_tol = args.tol
     front = _solve_front(cfg, args.method)
-    base = Path(args.out or "profile")
-    write_profile(base, front)
+    saved = runio.write_profile(args.out or "profile", front)
     hyp = front.hypothesis
     monotone = float(np.max(front.phi_prime.values)) <= 1e-10
     print(f"operator      {front.operator.label}")
@@ -120,7 +115,7 @@ def cmd_front(args) -> int:
     print(f"|phi''|_2     {hyp.phi_second_l2:.6f}")
     print(f"first moment  {hyp.first_moment:.6f} (tail share {hyp.tail_fraction:.2e})")
     print(f"edge |phi'|   {hyp.edge_derivative:.2e}")
-    print(f"saved         {base}.csv, {base}.json")
+    print(f"saved         {saved[0]}, {saved[1]}")
     return EXIT_OK
 
 
@@ -137,7 +132,7 @@ def cmd_certify(args) -> int:
         rows, threshold = sweep_nu(values, eps_samples=eps, m=args.fd_points,
                                    threads=args.threads)
         out = Path(args.out or "sweep.csv")
-        write_sweep_csv(out, rows)
+        runio.write_sweep_csv(out, rows)
         for r in rows:
             note = f"  [{r.error}]" if r.error else ""
             print(f"nu={r.nu:8.3f}  satisfied={str(r.satisfied):5s} "
@@ -148,7 +143,7 @@ def cmd_certify(args) -> int:
 
     if args.profile:
         try:
-            front = read_profile(args.profile)
+            front = runio.read_profile(args.profile)
         except FileNotFoundError:
             print(f"profile not found: {args.profile}", file=sys.stderr)
             return EXIT_USAGE
@@ -161,7 +156,7 @@ def cmd_certify(args) -> int:
         print(f"unresolved certificate: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     out = Path(args.out or "certificate.json")
-    write_certificate(out, cert)
+    runio.write_certificate(out, cert)
     for e, c, flag in zip(cert.eps_samples, cert.counts, cert.near_zero_flags):
         mark = "  (near-zero eigenvalue)" if flag else ""
         ref = "  [reference]" if e == 0.0 else ""
@@ -186,24 +181,18 @@ def _run_pipeline(cfg: RunConfig) -> tuple[int, dict]:
         cert = certify_front(front, eps_samples=cfg.eps_samples, m=cfg.fd_points)
     except CertificationError as exc:
         print(f"warning: certificate unresolved ({exc})", file=sys.stderr)
-    writer = RunWriter(cfg.directory)
-    writer.write_config_snapshot(cfg.snapshot())
-    writer.write_front(front)
-    if cert is not None:
-        writer.write_certificate(cert)
+    writer = runio.RunWriter(cfg.directory, cfg.snapshot(), front, cert)
 
     status = EXIT_OK
     try:
         traj = evolve(v0, front, spec, stepper_cfg, certificate=cert)
     except StabilityError as exc:
         print(f"instability abort: {exc}", file=sys.stderr)
-        traj = getattr(exc, "partial", None)
+        traj = exc.partial
         status = EXIT_INSTABILITY
     summary = {}
     if traj is not None:
-        writer.write_series(traj.series)
-        for t, f in traj.snapshots:
-            writer.write_snapshot(t, f)
+        writer.write_trajectory(traj.series, traj.snapshots)
         summary = {
             "monotonicity_violations": traj.monotonicity_violations,
             "max_relative_uptick": traj.max_uptick,
@@ -288,16 +277,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    run_dir = Path(args.run)
-    series_path = run_dir / "series.csv"
-    if not series_path.exists():
-        print(f"missing series: {series_path}", file=sys.stderr)
+    try:
+        series, meta = runio.read_run(args.run)
+    except FileNotFoundError as exc:
+        print(f"missing series: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    series = read_series_csv(series_path)
-    meta = {}
-    meta_path = run_dir / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
     model = args.model or meta.get("model") or ""
     if not model:
         print("no theorem model given (use --model kdvb|frac_odd)",
@@ -319,12 +303,7 @@ def cmd_rates(args) -> int:
         print(f"{str(v.p):>12} {v.rate:7.4f} {v.beta:6.3f} {v.ratio:9.3f} "
               f"{v.fitted_exponent:8.3f}  "
               f"{'bound satisfied' if v.satisfied else 'VIOLATED'}")
-    out = run_dir / "verdicts.csv"
-    with open(out, "w") as fh:
-        fh.write("p,rate,beta,envelope_ratio,fitted_exponent,satisfied\n")
-        for v in verdicts:
-            fh.write(f"{v.p},{v.rate!r},{v.beta!r},{v.ratio!r},"
-                     f"{v.fitted_exponent!r},{int(v.satisfied)}\n")
+    out = runio.write_verdicts(args.run, verdicts)
     if args.svg:
         from .svgplot import write_loglog_svg
         t = series.column("t")
@@ -380,22 +359,13 @@ def cmd_sweep(args) -> int:
                               "directory": str(base_dir / f"{attr}_{raw}")})
         jobs.append(sub.snapshot())
 
-    results = []
     if args.threads > 1:
         with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
             results = list(pool.map(_simulate_worker, jobs))
     else:
         results = [_simulate_worker(j) for j in jobs]
 
-    base_dir.mkdir(parents=True, exist_ok=True)
-    with open(base_dir / "summary.csv", "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["directory", "status", "monotonicity_violations",
-                      "l2_final", "error"])
-        for directory, status, summary, error in results:
-            out.writerow([directory, status,
-                          summary.get("monotonicity_violations", ""),
-                          summary.get("l2_final", ""), error])
+    runio.write_sweep_summary(base_dir, results)
     worst = max((status for _, status, _, _ in results), default=0)
     print(f"{len(results)} runs under {base_dir} (worst exit {worst})")
     return worst

@@ -30,9 +30,10 @@ __all__ = [
 class NormSeries:
     """Per-time records of a perturbation run.
 
-    Columns: t, x0, x0_dot, ||v||_1, ||v||_2, ||v||_inf, ||v||_p for the
-    configured p list, ||v'||_2, the |x|-weighted L2 norm, and the running
-    sup of ||v||_inf.
+    Each record holds the time, the translation x0 and its speed, the
+    norms ||v||_p for p = 1, 2, inf and the configured p list, ||v'||_2,
+    the |x|-weighted L2 norm and the running sup of ||v||_inf; `columns`
+    names them in file order.
     """
 
     p_list: tuple = ()
@@ -67,6 +68,14 @@ class NormSeries:
         self.weighted.append(float(weighted))
         running = self.m_sup[-1] if self.m_sup else 0.0
         self.m_sup.append(max(running, float(linf)))
+
+    def columns(self) -> dict:
+        """The records by column name, in file order (lp_<p> is ||v||_p)."""
+        return {"t": self.t, "x0": self.x0, "x0_dot": self.x0_dot,
+                "l1": self.l1, "l2": self.l2, "linf": self.linf,
+                **{f"lp_{p:g}": self.lp[p] for p in self.p_list},
+                "dv_l2": self.dv_l2, "weighted": self.weighted,
+                "m_sup": self.m_sup}
 
     def column(self, name: str) -> np.ndarray:
         if name.startswith("lp:"):

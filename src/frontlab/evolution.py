@@ -57,7 +57,7 @@ BOUNDARY_TOL = 1e-6
 
 
 class StabilityError(RuntimeError):
-    pass
+    partial = None  # the aborted run's Trajectory, when there is one
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ class _Workspace:
         self.weight[0] = 1.0
         if n % 2 == 0:
             self.weight[-1] = 1.0
-        self.lin = spec.values(k)
-        if "laplacian" not in disable:
-            self.lin = -k ** 2 + self.lin
+        self.lin = -k ** 2 + spec.values(k)
         self.dphi = front.phi_prime.values
         self.dphi_hat = np.where(self.mask, np.fft.rfft(self.dphi), 0.0)
         # flux phi*v + v^2/2; a disabled term gets a zero coefficient
@@ -322,8 +320,10 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     bound max|v| <= sum |v_hat|/n), non-finite aborts, per-step
     monotonicity of ||v||_2 (violations beyond 1e-10 relative are
     counted, the run continues), and boundary contamination of the
-    decaying field (warning).  `disable` can switch off 'front',
-    'nonlinear', 'modulation' or 'laplacian' terms for calibration runs.
+    decaying field (warning).  `disable` can switch off the 'front',
+    'nonlinear' or 'modulation' terms for calibration runs.  A non-finite
+    field raises StabilityError whose `partial` is the trajectory up to
+    the last good record.
     """
     grid = v0.grid
     if grid is not front.grid and grid != front.grid:
@@ -409,23 +409,20 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
             if config.snapshot_every and istep % config.snapshot_every == 0:
                 snapshots.append((t, f))
 
+    # the last step is always recorded, so x0 ends the series either way
+    traj = Trajectory(series=series, snapshots=snapshots,
+                      x0_final=series.x0[-1],
+                      monotonicity_violations=violations,
+                      max_uptick=max_uptick,
+                      boundary_warnings=boundary_warnings, aborted=aborted)
     if aborted:
         err = StabilityError(
             f"non-finite solution at t={istep * config.dt:g}; "
             f"last good state at t={series.t[-1]:g}"
         )
-        err.partial = Trajectory(series=series, snapshots=snapshots,
-                                 x0_final=float(series.x0[-1]),
-                                 monotonicity_violations=violations,
-                                 max_uptick=max_uptick,
-                                 boundary_warnings=boundary_warnings,
-                                 aborted=True)
+        err.partial = traj
         raise err
-    return Trajectory(series=series, snapshots=snapshots,
-                      x0_final=float(z[-1].real),
-                      monotonicity_violations=violations,
-                      max_uptick=max_uptick,
-                      boundary_warnings=boundary_warnings)
+    return traj
 
 
 # ---------------------------------------------------------------------------

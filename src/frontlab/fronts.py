@@ -173,7 +173,7 @@ def _spectral_pieces(grid: Grid, w: np.ndarray, symbol_values: np.ndarray):
 
 
 def _flux_residual(grid: Grid, w: np.ndarray, sym: np.ndarray,
-                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   g: np.ndarray) -> np.ndarray:
     """Residual of the profile equation in conservative form.
 
     phi*phi' is discretized as (1/2) d/dx [phi^2 - 1]; the bracket decays at
@@ -181,13 +181,12 @@ def _flux_residual(grid: Grid, w: np.ndarray, sym: np.ndarray,
     seam jump, and the nonlinearity contributes exactly zero mean.
     """
     x = grid.x
-    dw, d2w, lw = _spectral_pieces(grid, w, sym)
+    _, d2w, lw = _spectral_pieces(grid, w, sym)
     t0 = ref_profile(x)
     # phi^2 - 1 = -sech^2(x/2) + 2*ref*w + w^2, assembled without cancellation
     q = -1.0 / np.cosh(0.5 * x) ** 2 + 2.0 * t0 * w + w * w
     flux = 0.5 * np.fft.ifft(grid.ik * np.fft.fft(q)).real
-    res = -(ref_d2(x) + d2w) + flux - g - lw
-    return res, dw
+    return -(ref_d2(x) + d2w) + flux - g - lw
 
 
 def profile_residual(profile: FrontProfile, spec: MultiplierSpec | None = None) -> float:
@@ -196,7 +195,7 @@ def profile_residual(profile: FrontProfile, spec: MultiplierSpec | None = None) 
     grid = profile.grid
     w = profile.phi.values - ref_profile(grid.x)
     g = operator_on_reference(spec, grid)
-    res, _ = _flux_residual(grid, w, spec.values(grid.k), g)
+    res = _flux_residual(grid, w, spec.values(grid.k), g)
     return float(np.max(np.abs(res)))
 
 
@@ -340,9 +339,6 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
 
     t0, t1 = ref_profile(x), ref_d1(x)
 
-    def residual(wv):
-        return _flux_residual(grid, wv, sym, g)
-
     precond_sym = grid.k ** 2 - sym + 1.0
 
     # The linearization J(d) = -d'' + (phi*d)' - L[d] is a total derivative,
@@ -386,7 +382,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
                 )
         return sol[:n]
 
-    res, dw = residual(w)
+    res = _flux_residual(grid, w, sym, g)
     norm = np.max(np.abs(res))
     for _ in range(max_iter):
         if norm <= tol and abs(w[pin_index]) <= 1e-12:
@@ -396,7 +392,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
         scale = 1.0
         for _ in range(8):
             trial = w + scale * step
-            res_t, dw_t = residual(trial)
+            res_t = _flux_residual(grid, trial, sym, g)
             norm_t = np.max(np.abs(res_t))
             if norm_t < norm:
                 break
@@ -405,7 +401,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
             raise FrontError(
                 f"Newton stagnated at residual {norm:.3e} for {spec.label!r}"
             )
-        w, res, dw, norm = trial, res_t, dw_t, norm_t
+        w, res, norm = trial, res_t, norm_t
     else:
         raise FrontError(
             f"Newton did not reach tol={tol:g} in {max_iter} iterations "

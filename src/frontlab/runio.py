@@ -1,7 +1,27 @@
-"""Serialization: fields, profiles, certificates, series, run directories.
+"""Serialization: the formats and the layout of every run artifact.
 
-Floats are written with repr (shortest round-trip form), so identical
-inputs produce byte-identical files.
+No other module knows an artifact's file name, column order or JSON
+options, and identical inputs give byte-identical files.
+
+- Tables: `write_table` and `read_table` serve every CSV file: field
+  snapshots, profiles, series.csv, the `certify --sweep-nu` table,
+  verdicts.csv and the sweep summary.csv.  A header row comes first.
+  Floats, numpy ones too, are written with repr (the shortest text that
+  reads back to the same double), booleans as 0/1, anything else with
+  str.  Rows end in "\\r\\n", except in verdicts.csv and summary.csv,
+  where they end in "\\n".
+- JSON: `to_json` serves config.snapshot, the profile sidecar,
+  certificate.json and meta.json, with sorted keys, a two-space indent,
+  NaN as `NaN` and a final newline in the file.  A numpy scalar is stored
+  as the plain value it holds; any other object without a JSON form
+  raises TypeError.
+- Fields also have a binary form: int64 n, float64 length, then the
+  samples as little-endian float64.
+
+`RunWriter` writes a run directory: config.snapshot, profile.csv/.json,
+certificate.json, series.csv (the `NormSeries.columns`), fields/t_<stamp>.csv
+and meta.json; `frontlab rates` adds verdicts.csv.  A sweep directory holds
+one run directory per value and summary.csv.
 """
 
 from __future__ import annotations
@@ -9,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,38 +38,77 @@ from .certify import SpectralCertificate
 from .diagnostics import NormSeries
 from .fronts import FrontProfile, HypothesisReport
 from .spectral import Field, make_grid
-from .symbols import MultiplierSpec, spec_from_text
+from .symbols import spec_from_text
 
 __all__ = [
-    "write_field_csv", "read_field_csv",
-    "write_field_binary", "read_field_binary",
-    "write_profile", "read_profile",
-    "write_certificate", "read_certificate",
-    "write_sweep_csv",
-    "write_series_csv", "read_series_csv",
-    "RunWriter",
+    "write_table", "read_table", "to_json", "write_json", "read_json",
+    "write_field_csv", "read_field_csv", "write_field_binary",
+    "read_field_binary", "write_profile", "read_profile", "write_certificate",
+    "read_certificate", "write_sweep_csv", "write_series_csv",
+    "read_series_csv", "RunWriter", "read_run", "write_verdicts",
+    "write_sweep_summary",
 ]
 
 _BIN_HEADER = struct.Struct("<qd")
 
 
-def write_field_csv(path, field: Field):
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, np.floating):
+        return repr(float(value))
+    return value
+
+
+def write_table(path, header, rows, terminator="\r\n"):
+    """Write a header and rows of cells as CSV."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for x, v in zip(field.grid.x, field.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
+        writer = csv.writer(fh, lineterminator=terminator)
+        writer.writerow(header)
+        # the csv module writes a Python float with repr
+        writer.writerows([v if type(v) is float else _cell(v) for v in row]
+                         for row in rows)
+
+
+def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a CSV file, as text."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def _float_rows(rows) -> np.ndarray:
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+def _plain(obj):
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} object has no JSON form")
+
+
+def to_json(obj) -> str:
+    """The JSON text of `obj`."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain)
+
+
+def write_json(path, obj):
+    Path(path).write_text(to_json(obj) + "\n")
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def write_field_csv(path, field: Field):
+    write_table(path, ["x", "value"],
+                zip(field.grid.x.tolist(), field.values.tolist()))
 
 
 def read_field_csv(path) -> Field:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    x, values = data[:, 0], data[:, 1]
-    n = x.size
-    h = x[1] - x[0]
-    grid = make_grid(n, float(n * h))
-    return Field(grid, values)
+    data = _float_rows(read_table(path)[1])
+    # x[0] = -length/2 exactly, so the grid's nodes come back bit for bit
+    return Field(make_grid(len(data), -2.0 * data[0, 0]), data[:, 1])
 
 
 def write_field_binary(path, field: Field):
@@ -67,44 +126,39 @@ def read_field_binary(path) -> Field:
     return Field(make_grid(n, length), values.copy())
 
 
-def write_profile(base, profile: FrontProfile):
-    """Persist a front as <base>.csv (x, phi, phi') plus a <base>.json sidecar."""
+def write_profile(base, profile: FrontProfile) -> tuple[Path, Path]:
+    """Persist a front as <base>.csv (x, phi, phi') plus a <base>.json
+    sidecar; returns the two paths."""
     base = Path(base)
-    with open(base.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "phi", "phi_prime"])
-        for x, p, dp in zip(profile.grid.x, profile.phi.values,
-                            profile.phi_prime.values):
-            writer.writerow([repr(float(x)), repr(float(p)), repr(float(dp))])
-    sidecar = {
+    paths = base.with_suffix(".csv"), base.with_suffix(".json")
+    write_table(paths[0], ["x", "phi", "phi_prime"],
+                zip(profile.grid.x.tolist(), profile.phi.values.tolist(),
+                    profile.phi_prime.values.tolist()))
+    write_json(paths[1], {
         "operator": profile.operator.text,
         "label": profile.operator.label,
-        "params": _jsonable(profile.operator.params),
-        "endpoints": list(profile.endpoints),
-        "residual_sup": _float_or_nan(profile.residual_sup),
+        "params": profile.operator.params,
+        "endpoints": profile.endpoints,
+        "residual_sup": (None if np.isnan(profile.residual_sup)
+                         else float(profile.residual_sup)),
         "method": profile.method,
         "exact": profile.exact,
         "grid": {"n": profile.grid.n, "length": profile.grid.length},
         "hypothesis": asdict(profile.hypothesis),
-    }
-    with open(base.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
+    return paths
 
 
 def read_profile(base) -> FrontProfile:
     base = Path(base)
-    with open(base.with_suffix(".json")) as fh:
-        meta = json.load(fh)
-    with open(base.with_suffix(".csv"), newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(a), float(b), float(c)] for a, b, c in rows[1:]])
+    meta = read_json(base.with_suffix(".json"))
+    data = _float_rows(read_table(base.with_suffix(".csv"))[1])
     grid = make_grid(meta["grid"]["n"], meta["grid"]["length"])
-    spec = spec_from_text(meta["operator"], meta["label"])
-    if meta.get("params"):
-        spec = MultiplierSpec(expr=spec.expr, label=spec.label,
-                              admissibility=spec.admissibility,
-                              params=_params_from_json(meta["params"]))
+    params = meta.get("params", {})
+    if "terms" in params:
+        params["terms"] = [tuple(t) for t in params["terms"]]
+    spec = replace(spec_from_text(meta["operator"], meta["label"]),
+                   params=params)
     return FrontProfile(
         grid=grid,
         phi=Field(grid, data[:, 1]),
@@ -119,117 +173,88 @@ def read_profile(base) -> FrontProfile:
     )
 
 
-def _jsonable(params: dict):
-    out = {}
-    for key, value in params.items():
-        if key == "terms":
-            out[key] = [list(t) for t in value]
-        else:
-            out[key] = value
-    return out
-
-
-def _params_from_json(raw: dict):
-    out = dict(raw)
-    if "terms" in out:
-        out["terms"] = [tuple(t) for t in out["terms"]]
-    return out
-
-
-def _float_or_nan(x):
-    x = float(x)
-    return None if np.isnan(x) else x
-
-
 def write_certificate(path, cert: SpectralCertificate):
-    with open(path, "w") as fh:
-        fh.write(cert.to_json())
-        fh.write("\n")
+    write_json(path, asdict(cert))
 
 
 def read_certificate(path) -> SpectralCertificate:
-    with open(path) as fh:
-        return SpectralCertificate.from_json(fh.read())
+    return SpectralCertificate.from_json(Path(path).read_text())
 
 
 def write_sweep_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nu", "satisfied", "min_count", "argmin_eps", "error"])
-        for r in rows:
-            writer.writerow([repr(r.nu), int(r.satisfied), r.min_count,
-                             repr(r.argmin_eps), r.error])
-
-
-def _series_header(series: NormSeries):
-    return (["t", "x0", "x0_dot", "l1", "l2", "linf"]
-            + [f"lp_{p:g}" for p in series.p_list]
-            + ["dv_l2", "weighted", "m_sup"])
+    """The `certify --sweep-nu` table, one row per nu."""
+    write_table(path, ["nu", "satisfied", "min_count", "argmin_eps", "error"],
+                [(r.nu, r.satisfied, r.min_count, r.argmin_eps, r.error)
+                 for r in rows])
 
 
 def write_series_csv(path, series: NormSeries):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_series_header(series))
-        for i in range(len(series)):
-            row = [series.t[i], series.x0[i], series.x0_dot[i],
-                   series.l1[i], series.l2[i], series.linf[i]]
-            row += [series.lp[p][i] for p in series.p_list]
-            row += [series.dv_l2[i], series.weighted[i], series.m_sup[i]]
-            writer.writerow([repr(float(v)) for v in row])
+    columns = series.columns()
+    write_table(path, list(columns), zip(*columns.values()))
 
 
 def read_series_csv(path) -> NormSeries:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    p_list = tuple(float(name[3:]) for name in header if name.startswith("lp_"))
-    series = NormSeries(p_list=p_list)
-    for row in rows[1:]:
-        vals = [float(v) for v in row]
-        base = 6
-        series.append(vals[0], vals[1], vals[2], vals[3], vals[4], vals[5],
-                      vals[base:base + len(p_list)],
-                      vals[base + len(p_list)], vals[base + len(p_list) + 1])
+    header, rows = read_table(path)
+    series = NormSeries(p_list=[float(name[3:]) for name in header
+                                if name.startswith("lp_")])
+    if header != list(series.columns()):
+        raise ValueError(f"{path}: unexpected series columns {header}")
+    k = len(series.p_list)
+    for v in _float_rows(rows).tolist():
+        series.append(*v[:6], v[6:6 + k], *v[6 + k:8 + k])  # m_sup is derived
     return series
 
 
 class RunWriter:
-    """Materializes a run directory:
+    """Writes a run directory: its inputs when created, then the
+    trajectory and meta.json."""
 
-    config.snapshot   JSON image of the configuration
-    profile.csv/json  the front used
-    certificate.json  its spectral certificate (when computed)
-    series.csv        norm time series
-    fields/t_<stamp>.csv  field snapshots
-    meta.json         versions, grid, flags, summaries
-    """
-
-    def __init__(self, directory):
+    def __init__(self, directory, config: dict, front: FrontProfile,
+                 cert: SpectralCertificate | None):
         self.dir = Path(directory)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / "fields").mkdir(exist_ok=True)
-        self.meta = {}
+        (self.dir / "fields").mkdir(parents=True, exist_ok=True)
+        write_json(self.dir / "config.snapshot", config)
+        write_profile(self.dir / "profile", front)
+        if cert is not None:
+            write_certificate(self.dir / "certificate.json", cert)
 
-    def write_config_snapshot(self, payload: dict):
-        with open(self.dir / "config.snapshot", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_front(self, profile: FrontProfile):
-        write_profile(self.dir / "profile", profile)
-
-    def write_certificate(self, cert: SpectralCertificate):
-        write_certificate(self.dir / "certificate.json", cert)
-
-    def write_snapshot(self, t: float, field: Field):
-        write_field_csv(self.dir / "fields" / f"t_{t:014.6f}.csv", field)
-
-    def write_series(self, series: NormSeries):
+    def write_trajectory(self, series: NormSeries, snapshots):
         write_series_csv(self.dir / "series.csv", series)
+        for t, field in snapshots:
+            write_field_csv(self.dir / "fields" / f"t_{t:014.6f}.csv", field)
 
     def finalize(self, **meta):
-        self.meta.update(meta)
-        with open(self.dir / "meta.json", "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        write_json(self.dir / "meta.json", meta)
+
+
+def read_run(directory) -> tuple[NormSeries, dict]:
+    """The series and the metadata of a run directory.  A missing
+    series.csv raises FileNotFoundError; a missing meta.json reads as {}."""
+    directory = Path(directory)
+    series = read_series_csv(directory / "series.csv")
+    meta_path = directory / "meta.json"
+    return series, read_json(meta_path) if meta_path.exists() else {}
+
+
+def write_verdicts(directory, verdicts) -> Path:
+    """Write `frontlab rates`' verdicts into a run directory."""
+    path = Path(directory) / "verdicts.csv"
+    write_table(path, ["p", "rate", "beta", "envelope_ratio",
+                       "fitted_exponent", "satisfied"],
+                [(v.p, v.rate, v.beta, v.ratio, v.fitted_exponent, v.satisfied)
+                 for v in verdicts], terminator="\n")
+    return path
+
+
+def write_sweep_summary(directory, results) -> Path:
+    """One row per sweep run from (directory, status, summary, error)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "summary.csv"
+    write_table(path, ["directory", "status", "monotonicity_violations",
+                       "l2_final", "error"],
+                [(run_dir, status, summary.get("monotonicity_violations", ""),
+                  summary.get("l2_final", ""), error)
+                 for run_dir, status, summary, error in results],
+                terminator="\n")
+    return path

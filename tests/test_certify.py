@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -100,6 +102,14 @@ def test_certificate_json_round_trip(burgers_cert):
     from frontlab.certify import SpectralCertificate
     again = SpectralCertificate.from_json(burgers_cert.to_json())
     assert again == burgers_cert
+
+
+def test_certificate_json_flags_are_booleans(burgers_cert):
+    """richardson_ok is stored as a JSON boolean and read back as a bool."""
+    from frontlab.certify import SpectralCertificate
+    text = burgers_cert.to_json()
+    assert json.loads(text)["richardson_ok"] is True
+    assert SpectralCertificate.from_json(text).richardson_ok is True
 
 
 def test_reflection_symmetry_of_counts():

@@ -164,6 +164,8 @@ def test_sweep_runs(tmp_path):
     assert code == 0
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 3
+    assert (out / "summary.csv").read_bytes().startswith(
+        b"directory,status,monotonicity_violations,l2_final,error\n")
     assert (out / "amplitude_0.1" / "series.csv").exists()
     assert (out / "amplitude_0.2" / "series.csv").exists()
 
@@ -225,6 +227,8 @@ def test_certify_sweep_nu(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "nu,satisfied,min_count,argmin_eps,error"
     assert len(lines) == 3
+    assert out.read_bytes().startswith(
+        b"nu,satisfied,min_count,argmin_eps,error\r\n")
 
 
 def test_rates_idempotent_verdicts(tmp_path):
@@ -236,6 +240,8 @@ def test_rates_idempotent_verdicts(tmp_path):
     run_cli(["simulate", "--config", str(cfg), "--out", str(out)])
     run_cli(["rates", "--run", str(out), "--window", "0.5,2.0"])
     first = (out / "verdicts.csv").read_bytes()
+    assert first.startswith(
+        b"p,rate,beta,envelope_ratio,fitted_exponent,satisfied\n")
     run_cli(["rates", "--run", str(out), "--window", "0.5,2.0"])
     assert (out / "verdicts.csv").read_bytes() == first
 

@@ -8,6 +8,7 @@ from frontlab import (Field, PerturbationState, StabilityError, StepperConfig,
                       check_energy_inequality, closed_form_burgers,
                       cole_hopf_exact, evolve, lp_norm, make_grid,
                       make_perturbation, preset, rhs_perturbation, step)
+from frontlab import evolution
 from frontlab.evolution import _Workspace, make_stepper
 from frontlab.fronts import reference_front
 from frontlab.spectral import dealias_mask, trig_interpolate
@@ -217,6 +218,35 @@ def test_cfl_guard(grid_std, burgers_front):
         quiet_evolve(v0, burgers_front, preset("burgers"), cfg)
     with pytest.raises(StabilityError, match="advective"):
         step(PerturbationState(v=v0), burgers_front, preset("burgers"), cfg)
+
+
+def test_non_finite_abort_keeps_partial_run(grid_std, burgers_front, monkeypatch):
+    """A step that leaves the field non-finite aborts the run; the error
+    carries the trajectory up to the last good record."""
+    make = evolution.make_stepper
+
+    def poisoned_stepper(ws, config):
+        stepper, nonlin = make(ws, config)
+        steps = itertools.count(1)
+
+        class Poisoned:
+            def advance(self, z, nonlin):
+                z, x0_dot = stepper.advance(z, nonlin)
+                return (z * np.nan if next(steps) == 25 else z), x0_dot
+
+        return Poisoned(), nonlin
+
+    monkeypatch.setattr(evolution, "make_stepper", poisoned_stepper)
+    v0 = make_perturbation("gaussian", 0.5, 1.0, grid_std)
+    cfg = StepperConfig(dt=0.01, t_end=1.0, record_every=10, snapshot_every=10)
+    with pytest.raises(StabilityError, match="non-finite") as exc:
+        quiet_evolve(v0, burgers_front, preset("burgers"), cfg)
+    partial = exc.value.partial
+    assert partial.aborted
+    assert partial.series.t == pytest.approx([0.0, 0.1, 0.2])
+    assert np.all(np.isfinite(partial.series.l2))
+    assert partial.x0_final == partial.series.x0[-1]
+    assert [t for t, _ in partial.snapshots] == partial.series.t
 
 
 def test_stepper_config_validation():

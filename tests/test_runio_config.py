@@ -1,14 +1,17 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frontlab import Field, NormSeries, RunConfig, make_grid, preset
+from frontlab.cli import main
 from frontlab.config import operator_from_config
-from frontlab.runio import (read_certificate, read_field_binary,
-                            read_field_csv, read_profile, read_series_csv,
-                            write_certificate, write_field_binary,
-                            write_field_csv, write_profile, write_series_csv)
+from frontlab.runio import (RunWriter, read_certificate, read_field_binary,
+                            read_field_csv, read_json, read_profile, read_run,
+                            read_series_csv, to_json, write_certificate,
+                            write_field_binary, write_field_csv, write_json,
+                            write_profile, write_series_csv)
 
 
 @pytest.fixture
@@ -24,6 +27,10 @@ def test_field_csv_round_trip(tmp_path, sample_field):
     again = read_field_csv(path)
     assert again.grid == sample_field.grid
     assert np.array_equal(again.values, sample_field.values)
+    # a length whose spacing is not a binary fraction comes back exactly
+    odd = Field(make_grid(512, 10.1), sample_field.values.repeat(8))
+    write_field_csv(path, odd)
+    assert read_field_csv(path).grid == odd.grid
 
 
 def test_field_binary_round_trip(tmp_path, sample_field):
@@ -88,6 +95,48 @@ def test_series_round_trip(tmp_path):
                  "weighted", "m_sup"):
         assert np.array_equal(again.column(name), s.column(name))
     assert np.array_equal(again.column("lp:4.0"), s.column("lp:4.0"))
+
+
+def test_run_directory_round_trips(tmp_path):
+    """Every artifact of a small `frontlab simulate` run, read back through
+    runio and written again, gives the same bytes."""
+    run_dir, copy = tmp_path / "run", tmp_path / "copy"
+    cfg = RunConfig(preset="kdvb", nu=-0.24, n=256, length=40.0, dt=0.01,
+                    t_end=0.5, record_every=10, snapshot_every=50,
+                    p_list=(1.5, 4.0), model="kdvb", directory=str(run_dir))
+    ini = tmp_path / "run.ini"
+    ini.write_text(cfg.to_ini())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["simulate", "--config", str(ini)]) == 0
+    fields = sorted((run_dir / "fields").glob("t_*.csv"))
+    assert len(fields) == 2
+    again = RunWriter(copy, read_json(run_dir / "config.snapshot"),
+                      read_profile(run_dir / "profile"),
+                      read_certificate(run_dir / "certificate.json"))
+    series, meta = read_run(run_dir)
+    snapshot = (float(fields[-1].stem[2:]), read_field_csv(fields[-1]))
+    again.write_trajectory(series, [snapshot])
+    again.finalize(**meta)
+    for name in ("profile.csv", "profile.json", "certificate.json",
+                 "config.snapshot", "series.csv", "meta.json",
+                 f"fields/{fields[-1].name}"):
+        assert (copy / name).read_bytes() == (run_dir / name).read_bytes(), name
+    # tables end their rows in CRLF; JSON files end in one newline
+    assert (run_dir / "series.csv").read_bytes().endswith(b"\r\n")
+    assert (run_dir / "meta.json").read_bytes().endswith(b"}\n")
+
+
+def test_json_encoder_types(tmp_path):
+    """numpy scalars are stored as plain values; unknown objects raise."""
+    text = to_json({"b": np.bool_(True), "i": np.int64(3),
+                    "f": np.float32(0.5), "x": [np.float64(0.25)]})
+    assert text == ('{\n  "b": true,\n  "f": 0.5,\n  "i": 3,\n'
+                    '  "x": [\n    0.25\n  ]\n}')
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "meta.json", {"summary": {"when": object()}})
+    with pytest.raises(TypeError):
+        to_json({"values": np.zeros(3)})
 
 
 def test_config_ini_round_trip():
