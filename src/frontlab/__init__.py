@@ -22,9 +22,9 @@ from .fronts import (FrontError, FrontProfile, GalileanParams,
 from .certify import (SpectralCertificate, certify_front,
                       count_negative_eigenvalues, schrodinger_tridiagonal,
                       sweep_nu)
-from .evolution import (PerturbationState, StabilityError, StepperConfig,
-                     Trajectory, cole_hopf_exact, evolve, make_perturbation,
-                     rhs_perturbation, step)
+from .evolution import (StabilityError, StepperConfig, Trajectory,
+                        cole_hopf_exact, evolve, make_perturbation,
+                        rhs_perturbation)
 from .diagnostics import (NormSeries, check_energy_inequality,
                           compare_to_theorem, epsilon_of_time, fit_rate,
                           frequency_split_series, predicted_rate,

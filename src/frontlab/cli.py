@@ -121,6 +121,10 @@ def cmd_front(args) -> int:
 
 def _parse_sweep_range(text: str) -> list[float]:
     start, stop, step = (float(x) for x in text.split(":"))
+    if not (np.all(np.isfinite([start, stop, step])) and step > 0.0
+            and start <= stop):
+        raise ValueError(f"--sweep-nu {text!r}: need finite START <= STOP "
+                         "and STEP > 0")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
@@ -190,27 +194,25 @@ def _run_pipeline(cfg: RunConfig) -> tuple[int, dict]:
         print(f"instability abort: {exc}", file=sys.stderr)
         traj = exc.partial
         status = EXIT_INSTABILITY
-    summary = {}
-    if traj is not None:
-        writer.write_trajectory(traj.series, traj.snapshots)
-        summary = {
-            "monotonicity_violations": traj.monotonicity_violations,
-            "max_relative_uptick": traj.max_uptick,
-            "boundary_warnings": traj.boundary_warnings,
-            "x0_final": traj.x0_final,
-            "l2_initial": traj.series.l2[0],
-            "l2_final": traj.series.l2[-1],
-            "aborted": traj.aborted,
-        }
-        try:
-            energy = check_energy_inequality(traj.series)
-            summary["energy_c_fit"] = energy.c_fit
-            summary["energy_violations"] = energy.violations
-        except ValueError:
-            pass
-        weighted = weighted_bound_monitor(traj.series)
-        summary["weighted_sup_sq"] = weighted.sup_weighted_sq
-        summary["cumulative_l2_sq"] = weighted.cumulative_l2_sq
+    writer.write_trajectory(traj.series, traj.snapshots)
+    summary = {
+        "monotonicity_violations": traj.monotonicity_violations,
+        "max_relative_uptick": traj.max_uptick,
+        "boundary_warnings": traj.boundary_warnings,
+        "x0_final": traj.x0_final,
+        "l2_initial": traj.series.l2[0],
+        "l2_final": traj.series.l2[-1],
+        "aborted": traj.aborted,
+    }
+    try:
+        energy = check_energy_inequality(traj.series)
+        summary["energy_c_fit"] = energy.c_fit
+        summary["energy_violations"] = energy.violations
+    except ValueError:
+        pass
+    weighted = weighted_bound_monitor(traj.series)
+    summary["weighted_sup_sq"] = weighted.sup_weighted_sq
+    summary["cumulative_l2_sq"] = weighted.cumulative_l2_sq
     writer.finalize(
         version=__version__,
         operator=spec.label,
@@ -229,16 +231,15 @@ def _run_pipeline(cfg: RunConfig) -> tuple[int, dict]:
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     status, summary = _run_pipeline(cfg)
-    if summary:
-        print(f"run directory          {cfg.directory}")
-        print(f"monotonicity           {summary['monotonicity_violations']} violations "
-              f"(max uptick {summary['max_relative_uptick']:.2e})")
-        if "energy_c_fit" in summary:
-            print(f"energy inequality      C_fit = {summary['energy_c_fit']:.4f}, "
-                  f"{summary['energy_violations']} violations")
-        print(f"||v||_2                {summary['l2_initial']:.6g} -> "
-              f"{summary['l2_final']:.6g}")
-        print(f"x0(t_end)              {summary['x0_final']:.6g}")
+    print(f"run directory          {cfg.directory}")
+    print(f"monotonicity           {summary['monotonicity_violations']} violations "
+          f"(max uptick {summary['max_relative_uptick']:.2e})")
+    if "energy_c_fit" in summary:
+        print(f"energy inequality      C_fit = {summary['energy_c_fit']:.4f}, "
+              f"{summary['energy_violations']} violations")
+    print(f"||v||_2                {summary['l2_initial']:.6g} -> "
+          f"{summary['l2_final']:.6g}")
+    print(f"x0(t_end)              {summary['x0_final']:.6g}")
     return status
 
 

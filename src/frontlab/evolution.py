@@ -41,12 +41,10 @@ from .symbols import MultiplierSpec
 
 __all__ = [
     "StabilityError",
-    "PerturbationState",
     "StepperConfig",
     "Trajectory",
     "rhs_perturbation",
     "make_stepper",
-    "step",
     "evolve",
     "cole_hopf_exact",
     "make_perturbation",
@@ -57,15 +55,7 @@ BOUNDARY_TOL = 1e-6
 
 
 class StabilityError(RuntimeError):
-    partial = None  # the aborted run's Trajectory, when there is one
-
-
-@dataclass(frozen=True)
-class PerturbationState:
-    v: Field
-    x0: float = 0.0
-    t: float = 0.0
-    x0_dot_last: float = 0.0
+    """An aborted run; `evolve` sets `partial`, the Trajectory so far."""
 
 
 @dataclass(frozen=True)
@@ -146,9 +136,9 @@ class _Workspace:
         self.quad = 0.0 if "nonlinear" in disable else 0.5
         self.modulation = "modulation" not in disable
 
-    def augment(self, values: np.ndarray, x0: float = 0.0) -> np.ndarray:
-        """Augmented state [masked rfft(v), x0]."""
-        return np.concatenate([np.where(self.mask, np.fft.rfft(values), 0.0), [x0]])
+    def augment(self, values: np.ndarray) -> np.ndarray:
+        """Augmented state [masked rfft(v), x0 = 0]."""
+        return np.concatenate([np.where(self.mask, np.fft.rfft(values), 0.0), [0.0]])
 
     def l2sq(self, mag: np.ndarray) -> float:
         """||v||_2^2 by Parseval, (h/n) * sum_k w_k |v_hat_k|^2."""
@@ -171,18 +161,17 @@ class _Workspace:
         return self.ik * (x0_dot * vhat - flux_hat) + x0_dot * self.dphi_hat, x0_dot
 
 
-def rhs_perturbation(state: PerturbationState, front: FrontProfile,
-                     spec: MultiplierSpec, gamma: float = 1.1,
-                     dealias: bool = True) -> tuple[Field, float]:
+def rhs_perturbation(v: Field, front: FrontProfile, spec: MultiplierSpec,
+                     gamma: float = 1.1, dealias: bool = True) -> tuple[Field, float]:
     """Full tendency of the perturbation equation and the translation speed.
 
     The linear symbol acts on v_hat; the payload is the one `evolve`
     steps with, dealiased by the two-thirds rule when `dealias` is set.
     """
     ws = _Workspace(front, spec, gamma, dealias)
-    vhat = np.fft.rfft(state.v.values)
+    vhat = np.fft.rfft(v.values)
     payload, x0_dot = ws.nonlinear_hat(vhat)
-    return Field(state.v.grid, np.fft.irfft(ws.lin * vhat + payload, ws.n)), x0_dot
+    return Field(v.grid, np.fft.irfft(ws.lin * vhat + payload, ws.n)), x0_dot
 
 
 # ---------------------------------------------------------------------------
@@ -277,29 +266,6 @@ def make_stepper(ws: _Workspace, config: StepperConfig):
     return stepper, nonlin
 
 
-def step(state: PerturbationState, front: FrontProfile, spec: MultiplierSpec,
-         config: StepperConfig) -> PerturbationState:
-    """Advance a single time step, exactly as the first step of `evolve`."""
-    ws = _Workspace(front, spec, config.gamma, config.dealias)
-    stepper, nonlin = make_stepper(ws, config)
-    z = ws.augment(state.v.values, state.x0)
-    _guard_cfl(ws.sup_bound(np.abs(z[:-1])), config.dt, ws.k_max)
-    z, x0_dot = stepper.advance(z, nonlin)
-    v = np.fft.irfft(z[:-1], ws.n)
-    if not np.all(np.isfinite(v)):
-        raise StabilityError(f"non-finite field at t={state.t + config.dt:g}")
-    return PerturbationState(v=Field(state.v.grid, v), x0=float(z[-1].real),
-                             t=state.t + config.dt, x0_dot_last=x0_dot)
-
-
-def _guard_cfl(vmax: float, dt: float, k_max: float):
-    advect = dt * vmax * k_max
-    if advect > 1.0:
-        raise StabilityError(
-            f"advective step limit exceeded: dt*max|v|*k_max = {advect:.3g} > 1"
-        )
-
-
 @dataclass
 class Trajectory:
     series: NormSeries
@@ -316,14 +282,19 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
            disable: tuple = (), on_record=None) -> Trajectory:
     """Run the perturbation equation to t_end with per-step audits.
 
-    Checks along the way: the advective step guard (every step, on the
-    bound max|v| <= sum |v_hat|/n), non-finite aborts, per-step
-    monotonicity of ||v||_2 (violations beyond 1e-10 relative are
-    counted, the run continues), and boundary contamination of the
-    decaying field (warning).  `disable` can switch off the 'front',
-    'nonlinear' or 'modulation' terms for calibration runs.  A non-finite
-    field raises StabilityError whose `partial` is the trajectory up to
-    the last good record.
+    This is the only stepping driver; a single step is a run with
+    t_end = dt.  Checks along the way: per-step monotonicity of ||v||_2
+    (violations beyond 1e-10 relative are counted, the run continues) and
+    boundary contamination of the decaying field (warning).  `disable` can
+    switch off the 'front', 'nonlinear' or 'modulation' terms for
+    calibration runs.
+
+    Two guards abort the run: the advective step guard, checked before
+    every step on the bound dt * max|v| * k_max > 1 with
+    max|v| <= sum |v_hat|/n, and a non-finite ||v||_2 after a step.  Either
+    one ends the loop, and one raise site turns it into a StabilityError
+    naming the guard, the time of the failing state and the last recorded
+    time; its `partial` is the Trajectory up to that record (aborted=True).
     """
     grid = v0.grid
     if grid is not front.grid and grid != front.grid:
@@ -377,17 +348,22 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     vinf0 = float(np.max(np.abs(v0.values)))
     violations = 0
     max_uptick = 0.0
-    aborted = False
+    abort = None  # the guard that stopped the run, if one did
+    t = 0.0
 
     for istep in range(1, nsteps + 1):
-        _guard_cfl(ws.sup_bound(mag), config.dt, ws.k_max)
+        advect = config.dt * ws.sup_bound(mag) * ws.k_max
+        if advect > 1.0:
+            abort = ("advective step limit exceeded "
+                     f"(dt*max|v|*k_max = {advect:.3g} > 1)")
+            break
         z, x0_dot = stepper.advance(z, nonlin)
         t = istep * config.dt
 
         mag = np.abs(z[:-1])
         l2sq = ws.l2sq(mag)
         if not np.isfinite(l2sq):
-            aborted = True
+            abort = "non-finite solution"
             break
         if l2sq - prev_l2sq > 1e-10 * prev_l2sq + l2sq_floor:
             violations += 1
@@ -414,12 +390,11 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
                       x0_final=series.x0[-1],
                       monotonicity_violations=violations,
                       max_uptick=max_uptick,
-                      boundary_warnings=boundary_warnings, aborted=aborted)
-    if aborted:
+                      boundary_warnings=boundary_warnings,
+                      aborted=abort is not None)
+    if abort is not None:
         err = StabilityError(
-            f"non-finite solution at t={istep * config.dt:g}; "
-            f"last good state at t={series.t[-1]:g}"
-        )
+            f"{abort} at t={t:g}; last good state at t={series.t[-1]:g}")
         err.partial = traj
         raise err
     return traj

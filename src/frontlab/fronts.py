@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .spectral import Field, Grid, trig_interpolate
+from .spectral import Field, Grid, derivative, trig_interpolate
 from .symbols import MultiplierSpec, preset, rescale_symbol
 
 __all__ = [
@@ -164,29 +164,20 @@ def _hypothesis_report(grid: Grid, phi_prime: np.ndarray,
     )
 
 
-def _spectral_pieces(grid: Grid, w: np.ndarray, symbol_values: np.ndarray):
-    what = np.fft.fft(w)
-    dw = np.fft.ifft(grid.ik * what).real
-    d2w = np.fft.ifft((1j * grid.k) ** 2 * what).real
-    lw = np.fft.ifft(symbol_values * what).real
-    return dw, d2w, lw
-
-
-def _flux_residual(grid: Grid, w: np.ndarray, sym: np.ndarray,
+def _flux_residual(grid: Grid, w: np.ndarray, lin: np.ndarray,
                    g: np.ndarray) -> np.ndarray:
-    """Residual of the profile equation in conservative form.
+    """Residual of the profile equation in conservative form; `lin` is the
+    symbol k^2 - l(k) of -d^2/dx^2 - L.
 
     phi*phi' is discretized as (1/2) d/dx [phi^2 - 1]; the bracket decays at
     both box ends (unlike phi itself), so the spectral derivative sees no
     seam jump, and the nonlinearity contributes exactly zero mean.
     """
     x = grid.x
-    _, d2w, lw = _spectral_pieces(grid, w, sym)
-    t0 = ref_profile(x)
     # phi^2 - 1 = -sech^2(x/2) + 2*ref*w + w^2, assembled without cancellation
-    q = -1.0 / np.cosh(0.5 * x) ** 2 + 2.0 * t0 * w + w * w
-    flux = 0.5 * np.fft.ifft(grid.ik * np.fft.fft(q)).real
-    return -(ref_d2(x) + d2w) + flux - g - lw
+    q = -1.0 / np.cosh(0.5 * x) ** 2 + 2.0 * ref_profile(x) * w + w * w
+    res = np.fft.ifft(lin * np.fft.fft(w) + 0.5 * grid.ik * np.fft.fft(q)).real
+    return res - ref_d2(x) - g
 
 
 def profile_residual(profile: FrontProfile, spec: MultiplierSpec | None = None) -> float:
@@ -195,7 +186,7 @@ def profile_residual(profile: FrontProfile, spec: MultiplierSpec | None = None) 
     grid = profile.grid
     w = profile.phi.values - ref_profile(grid.x)
     g = operator_on_reference(spec, grid)
-    res = _flux_residual(grid, w, spec.values(grid.k), g)
+    res = _flux_residual(grid, w, grid.k ** 2 - spec.values(grid.k), g)
     return float(np.max(np.abs(res)))
 
 
@@ -333,13 +324,12 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
     spec.require_admissible()
     n, x = grid.n, grid.x
     g = operator_on_reference(spec, grid)
-    sym = spec.values(grid.k)
+    lin = grid.k ** 2 - spec.values(grid.k)  # symbol of -d^2/dx^2 - L
     w = (initial_guess.phi.values - ref_profile(x)) if initial_guess is not None \
         else np.zeros(n)
 
     t0, t1 = ref_profile(x), ref_d1(x)
-
-    precond_sym = grid.k ** 2 - sym + 1.0
+    precond_sym = lin + 1.0
 
     # The linearization J(d) = -d'' + (phi*d)' - L[d] is a total derivative,
     # so constants span its left null space while phi' spans the right
@@ -351,12 +341,10 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
 
     def solve_linear(phi, rhs, pin_value):
         def matvec(z):
-            zhat = np.fft.fft(z[:n])
-            d2v = np.fft.ifft((1j * grid.k) ** 2 * zhat).real
-            lv = np.fft.ifft(sym * zhat).real
-            dpz = np.fft.ifft(grid.ik * np.fft.fft(phi * z[:n])).real
+            jz = np.fft.ifft(lin * np.fft.fft(z[:n])
+                             + grid.ik * np.fft.fft(phi * z[:n])).real
             out = np.empty(n + 1)
-            out[:n] = -d2v + dpz - lv + z[n] * ones
+            out[:n] = jz + z[n] * ones
             out[n] = z[pin_index]
             return out
 
@@ -382,7 +370,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
                 )
         return sol[:n]
 
-    res = _flux_residual(grid, w, sym, g)
+    res = _flux_residual(grid, w, lin, g)
     norm = np.max(np.abs(res))
     for _ in range(max_iter):
         if norm <= tol and abs(w[pin_index]) <= 1e-12:
@@ -392,7 +380,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
         scale = 1.0
         for _ in range(8):
             trial = w + scale * step
-            res_t = _flux_residual(grid, trial, sym, g)
+            res_t = _flux_residual(grid, trial, lin, g)
             norm_t = np.max(np.abs(res_t))
             if norm_t < norm:
                 break
@@ -408,9 +396,9 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
             f"(residual {norm:.3e}) for {spec.label!r}"
         )
 
-    dw, d2w, _ = _spectral_pieces(grid, w, sym)
-    return _build_profile(grid, t0 + w, t1 + dw, spec, "newton",
-                          phi_second=ref_d2(x) + d2w)
+    wf = Field(grid, w)
+    return _build_profile(grid, t0 + w, t1 + derivative(wf, 1).values, spec,
+                          "newton", phi_second=ref_d2(x) + derivative(wf, 2).values)
 
 
 def _sigma_min_probe(matvec, n, trials: int = 8) -> float:

@@ -128,9 +128,9 @@ def read_field_binary(path) -> Field:
 
 def write_profile(base, profile: FrontProfile) -> tuple[Path, Path]:
     """Persist a front as <base>.csv (x, phi, phi') plus a <base>.json
-    sidecar; returns the two paths."""
-    base = Path(base)
-    paths = base.with_suffix(".csv"), base.with_suffix(".json")
+    sidecar; returns the two paths.  The suffixes are appended to the
+    whole base name, so a dot in it does not start a suffix."""
+    paths = Path(f"{base}.csv"), Path(f"{base}.json")
     write_table(paths[0], ["x", "phi", "phi_prime"],
                 zip(profile.grid.x.tolist(), profile.phi.values.tolist(),
                     profile.phi_prime.values.tolist()))
@@ -150,9 +150,8 @@ def write_profile(base, profile: FrontProfile) -> tuple[Path, Path]:
 
 
 def read_profile(base) -> FrontProfile:
-    base = Path(base)
-    meta = read_json(base.with_suffix(".json"))
-    data = _float_rows(read_table(base.with_suffix(".csv"))[1])
+    meta = read_json(f"{base}.json")
+    data = _float_rows(read_table(f"{base}.csv")[1])
     grid = make_grid(meta["grid"]["n"], meta["grid"]["length"])
     params = meta.get("params", {})
     if "terms" in params:

@@ -256,6 +256,37 @@ def test_simulate_instability_exit_code(tmp_path):
     # the run directory still holds the inputs for post-mortem work
     assert (out / "config.snapshot").exists()
     assert (out / "profile.csv").exists()
+    # and the run up to the abort: the guard fires before the first step
+    assert read_series_csv(out / "series.csv").t == [0.0]
+    assert (out / "fields" / "t_0000000.000000.csv").exists()
+    summary = json.loads((out / "meta.json").read_text())["summary"]
+    assert summary["aborted"] is True
+    assert summary["l2_final"] > 0.0
+
+
+def test_sweep_keeps_aborted_run(tmp_path):
+    """An instability abort is a row with status 3 and the run so far."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    out = tmp_path / "sw"
+    code = run_cli(["sweep", "--config", str(cfg),
+                    "--set", "perturbation.amplitude=0.3,30",
+                    "--out", str(out)])
+    assert code == 3
+    with open(out / "summary.csv", newline="") as fh:
+        rows = {r["directory"]: r for r in csv.DictReader(fh)}
+    aborted = rows[str(out / "amplitude_30")]
+    assert aborted["status"] == "3"
+    assert float(aborted["l2_final"]) > 0.0
+    assert rows[str(out / "amplitude_0.3")]["status"] == "0"
+
+
+@pytest.mark.parametrize("text", ["0.4:1.6:0", "0.4:1.6:-0.6", "1.6:0.4:0.6"])
+def test_certify_sweep_nu_bad_range(tmp_path, capsys, text):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["certify", "--sweep-nu", text, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_simulate_imex2_scheme(tmp_path):

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from frontlab import (Field, PerturbationState, StabilityError, StepperConfig,
+from frontlab import (Field, StabilityError, StepperConfig,
                       check_energy_inequality, closed_form_burgers,
                       cole_hopf_exact, evolve, lp_norm, make_grid,
-                      make_perturbation, preset, rhs_perturbation, step)
+                      make_perturbation, preset, rhs_perturbation)
 from frontlab import evolution
 from frontlab.evolution import _Workspace, make_stepper
 from frontlab.fronts import reference_front
@@ -25,16 +25,15 @@ def quiet_evolve(*args, **kwargs):
 
 
 def test_rhs_zero_is_steady(grid_std, burgers_front):
-    state = PerturbationState(v=Field.zeros(grid_std))
-    tendency, x0_dot = rhs_perturbation(state, burgers_front, preset("burgers"))
+    tendency, x0_dot = rhs_perturbation(Field.zeros(grid_std), burgers_front,
+                                        preset("burgers"))
     assert x0_dot == 0.0
     assert np.max(np.abs(tendency.values)) == 0.0
 
 
 def test_rhs_odd_perturbation_has_zero_modulation(grid_std, burgers_front):
     v = make_perturbation("odd_gaussian_derivative", 1.0, 1.0, grid_std)
-    _, x0_dot = rhs_perturbation(PerturbationState(v=v), burgers_front,
-                                 preset("burgers"))
+    _, x0_dot = rhs_perturbation(v, burgers_front, preset("burgers"))
     assert abs(x0_dot) <= 1e-15
 
 
@@ -58,8 +57,8 @@ def test_rhs_frechet_linearization(grid_std, burgers_front):
     deltas = np.array([1e-4, 1e-5])
     errors = []
     for d in deltas:
-        state = PerturbationState(v=Field(grid_std, d * u.values))
-        tendency, _ = rhs_perturbation(state, burgers_front, spec, gamma=gamma,
+        tendency, _ = rhs_perturbation(Field(grid_std, d * u.values),
+                                       burgers_front, spec, gamma=gamma,
                                        dealias=False)
         errors.append(np.max(np.abs(tendency.values - d * linear_part)))
     errors = np.array(errors)
@@ -128,29 +127,6 @@ def test_half_spectrum_norms(grid_std, burgers_front, kind):
 # Steppers
 
 
-@pytest.mark.parametrize("scheme", ["etdrk4", "imex2"])
-def test_step_is_first_step_of_evolve(grid_std, kdvb_front, scheme):
-    spec = preset("kdvb", nu=-6.0 / 25.0)
-    v0 = make_perturbation("random_bandlimited", 0.5, 1.0, grid_std, seed=5)
-    cfg = StepperConfig(dt=2e-3, t_end=2e-3, scheme=scheme, record_every=1,
-                        snapshot_every=1)
-    traj = quiet_evolve(v0, kdvb_front, spec, cfg)
-    out = step(PerturbationState(v=v0), kdvb_front, spec, cfg)
-    _, v_end = traj.snapshots[-1]
-    assert np.max(np.abs(out.v.values - v_end.values)) <= \
-        1e-14 * np.max(np.abs(v_end.values))
-    assert abs(out.x0 - traj.x0_final) <= 1e-14 * max(abs(traj.x0_final), 1e-300)
-    assert out.x0_dot_last == pytest.approx(traj.series.x0_dot[-1], rel=1e-14)
-
-
-def test_step_steady_state(grid_std, burgers_front):
-    cfg = StepperConfig(dt=1e-3, t_end=1.0)
-    state = PerturbationState(v=Field.zeros(grid_std))
-    out = step(state, burgers_front, preset("burgers"), cfg)
-    assert np.max(np.abs(out.v.values)) <= 1e-13
-    assert out.t == pytest.approx(1e-3)
-
-
 @pytest.mark.parametrize("preset_name,terms", [("burgers", None),
                                                ("kdvb", None),
                                                ("frac", [(1.0, 0.5)]),
@@ -214,10 +190,13 @@ def test_temporal_convergence_order(grid_std, burgers_front, scheme, expected):
 def test_cfl_guard(grid_std, burgers_front):
     v0 = Field(grid_std, 5.0 * np.exp(-grid_std.x ** 2))
     cfg = StepperConfig(dt=0.05, t_end=1.0)
-    with pytest.raises(StabilityError, match="advective"):
+    with pytest.raises(StabilityError, match="advective") as exc:
         quiet_evolve(v0, burgers_front, preset("burgers"), cfg)
-    with pytest.raises(StabilityError, match="advective"):
-        step(PerturbationState(v=v0), burgers_front, preset("burgers"), cfg)
+    # the guard fires before the first step; the run so far is kept
+    assert "last good state at t=0" in str(exc.value)
+    partial = exc.value.partial
+    assert partial.aborted
+    assert partial.series.t == [0.0]
 
 
 def test_non_finite_abort_keeps_partial_run(grid_std, burgers_front, monkeypatch):

@@ -75,6 +75,19 @@ def test_profile_round_trip_with_params(tmp_path, kdvb_front):
                          - kdvb_front.operator.values(ks))) <= 1e-13
 
 
+def test_profile_base_with_dot(tmp_path, burgers_front, kdvb_front):
+    """A dot in the base name is part of the name, not a suffix."""
+    fronts = {"a_0.1": burgers_front, "a_0.2": kdvb_front}
+    for name, front in fronts.items():
+        paths = write_profile(tmp_path / name, front)
+        assert paths == (tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
+    assert len(list(tmp_path.iterdir())) == 4
+    for name, front in fronts.items():
+        again = read_profile(tmp_path / name)
+        assert np.array_equal(again.phi.values, front.phi.values)
+        assert again.method == front.method
+
+
 def test_certificate_round_trip(tmp_path, burgers_cert):
     path = tmp_path / "cert.json"
     write_certificate(path, burgers_cert)
