@@ -20,12 +20,12 @@ from .certify import (CertificationError, certify_front, sweep_nu,
                       DEFAULT_EPS_SAMPLES)
 from .config import FIELDS, RunConfig, operator_from_config, parse_value
 from .diagnostics import (check_energy_inequality, compare_to_theorem,
-                          fit_rate, predicted_rate, weighted_bound_monitor)
+                          weighted_bound_monitor)
 from .evolution import (StabilityError, StepperConfig, cole_hopf_exact, evolve,
                      make_perturbation)
 from .fronts import (FrontError, closed_form_burgers, front_for_operator,
                      newton_front, shoot_local_front)
-from .spectral import Field, lp_norm, make_grid, trig_interpolate
+from .spectral import Field, make_grid, trig_interpolate
 from .symbols import SymbolError
 
 EXIT_OK = 0
@@ -36,7 +36,7 @@ EXIT_INSTABILITY = 3
 # expected failures and their exit codes, for main and for each sweep run
 FAILURE_EXIT = {SymbolError: EXIT_USAGE, FrontError: EXIT_USAGE,
                 ValueError: EXIT_USAGE, configparser.Error: EXIT_USAGE,
-                StabilityError: EXIT_INSTABILITY}
+                OSError: EXIT_USAGE, StabilityError: EXIT_INSTABILITY}
 
 
 def _failure_exit(exc: Exception) -> int:
@@ -146,11 +146,7 @@ def cmd_certify(args) -> int:
         return EXIT_OK if any(not r.error for r in rows) else EXIT_USAGE
 
     if args.profile:
-        try:
-            front = runio.read_profile(args.profile)
-        except FileNotFoundError:
-            print(f"profile not found: {args.profile}", file=sys.stderr)
-            return EXIT_USAGE
+        front = runio.read_profile(args.profile)
     else:
         cfg = _config_from_args(args)
         front = _solve_front(cfg)
@@ -169,7 +165,8 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.satisfied else EXIT_CERTIFICATION
 
 
-def _run_pipeline(cfg: RunConfig) -> tuple[int, dict]:
+def _run_pipeline(cfg: RunConfig) -> tuple[int, dict, str]:
+    """Exit status, summary and the instability abort's message ("" if none)."""
     spec = operator_from_config(cfg)
     grid = make_grid(cfg.n, cfg.length)
     # bad stepper or perturbation settings fail before the front work
@@ -187,13 +184,13 @@ def _run_pipeline(cfg: RunConfig) -> tuple[int, dict]:
         print(f"warning: certificate unresolved ({exc})", file=sys.stderr)
     writer = runio.RunWriter(cfg.directory, cfg.snapshot(), front, cert)
 
-    status = EXIT_OK
+    status, error = EXIT_OK, ""
     try:
         traj = evolve(v0, front, spec, stepper_cfg, certificate=cert)
     except StabilityError as exc:
         print(f"instability abort: {exc}", file=sys.stderr)
         traj = exc.partial
-        status = EXIT_INSTABILITY
+        status, error = EXIT_INSTABILITY, str(exc)
     writer.write_trajectory(traj.series, traj.snapshots)
     summary = {
         "monotonicity_violations": traj.monotonicity_violations,
@@ -225,12 +222,12 @@ def _run_pipeline(cfg: RunConfig) -> tuple[int, dict]:
         fit_window=list(cfg.window()),
         delta=cfg.delta,
     )
-    return status, summary
+    return status, summary, error
 
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    status, summary = _run_pipeline(cfg)
+    status, summary, _ = _run_pipeline(cfg)
     print(f"run directory          {cfg.directory}")
     print(f"monotonicity           {summary['monotonicity_violations']} violations "
           f"(max uptick {summary['max_relative_uptick']:.2e})")
@@ -278,11 +275,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    try:
-        series, meta = runio.read_run(args.run)
-    except FileNotFoundError as exc:
-        print(f"missing series: {exc.filename}", file=sys.stderr)
-        return EXIT_USAGE
+    series, meta = runio.read_run(args.run)
     model = args.model or meta.get("model") or ""
     if not model:
         print("no theorem model given (use --model kdvb|frac_odd)",
@@ -335,10 +328,9 @@ def _parse_p(text: str):
 def _simulate_worker(snapshot: dict) -> tuple[str, int, dict, str]:
     cfg = RunConfig.from_snapshot(snapshot)
     try:
-        status, summary = _run_pipeline(cfg)
+        return (cfg.directory, *_run_pipeline(cfg))
     except tuple(FAILURE_EXIT) as exc:
         return cfg.directory, _failure_exit(exc), {}, str(exc)
-    return cfg.directory, status, summary, ""
 
 
 def cmd_sweep(args) -> int:

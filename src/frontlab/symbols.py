@@ -11,12 +11,22 @@ d/dx corresponds to i*k).  Grammar:
     atom   := NUMBER | 'k' | 'i' | 'abs' '(' expr ')'
             | 'sgn' '(' expr ')' | '(' expr ')'
 
-Exponents must be constant (k-free); a non-integer exponent is only
-accepted on a base that is provably real and nonnegative (e.g. abs(k)).
+Every k-free subexpression is evaluated once, at parse time, by the same
+evaluator that serves eval_symbol, and becomes one constant.  Exponents
+must be constant (k-free); a non-integer exponent is only accepted on a
+base that is provably real and nonnegative (e.g. abs(k)), as a constant
+is when its finite value or the tree it was folded from shows it (1/0
+does, -1/0 does not).  A real divisor divides as a real: 3/10 is 0.3.
+
+SymbolSyntaxError carries the offset of the offending token: malformed
+input, an unknown name or a non-finite literal; at its '^' an exponent
+that depends on k, is not finite or is complex, or a sign-changing base;
+at its 'sgn' a non-real constant argument.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +75,8 @@ class Node:
 @dataclass(frozen=True)
 class Const(Node):
     value: complex
+    # the k-free tree that the parser folded into this value, if any
+    source: Node | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,56 +119,42 @@ class SymbolExpr:
 _FUNCS = ("abs", "sgn")
 
 
+# digits and dots, then an exponent only where digits follow the 'e'
+_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
 def _tokenize(text: str):
     tokens = []  # (kind, value, offset)
     pos = 0
-    n = len(text)
-    while pos < n:
+    while pos < len(text):
         ch = text[pos]
         if ch.isspace():
             pos += 1
-            continue
-        if ch in "+-*/^(),":
+        elif ch in "+-*/^(),":
             tokens.append((ch, ch, pos))
             pos += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            start = pos
-            while pos < n and (text[pos].isdigit() or text[pos] == "."):
-                pos += 1
-            if pos < n and text[pos] in "eE":
-                mark = pos
-                pos += 1
-                if pos < n and text[pos] in "+-":
-                    pos += 1
-                if pos < n and text[pos].isdigit():
-                    while pos < n and text[pos].isdigit():
-                        pos += 1
-                else:
-                    pos = mark  # bare 'e' is not part of the number
-            lit = text[start:pos]
+        elif number := _NUMBER.match(text, pos):
+            lit = number.group()
             try:
                 value = float(lit)
             except ValueError:
-                raise SymbolSyntaxError(f"bad numeric literal {lit!r}", start)
+                raise SymbolSyntaxError(f"bad numeric literal {lit!r}", pos)
             if not np.isfinite(value):
-                raise SymbolSyntaxError(f"non-finite literal {lit!r}", start)
-            tokens.append(("num", value, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(("name", text[start:pos], start))
-            continue
-        raise SymbolSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+                raise SymbolSyntaxError(f"non-finite literal {lit!r}", pos)
+            tokens.append(("num", value, pos))
+            pos = number.end()
+        elif name := _NAME.match(text, pos):
+            tokens.append(("name", name.group(), pos))
+            pos = name.end()
+        else:
+            raise SymbolSyntaxError(f"unexpected character {ch!r}", pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -184,25 +182,23 @@ class _Parser:
     def expr(self) -> Node:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
+            op, _, offset = self.advance()
+            node = _fold(BinOp(op, node, self.term()), offset)
         return node
 
     def term(self) -> Node:
         node = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.unary())
+            op, _, offset = self.advance()
+            node = _fold(BinOp(op, node, self.unary()), offset)
         return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok[0] == "+":
+        kind, _, offset = self.peek()
+        if kind in ("+", "-"):
             self.advance()
-            return self.unary()
-        if tok[0] == "-":
-            self.advance()
-            return Neg(self.unary())
+            arg = self.unary()
+            return arg if kind == "+" else _fold(Neg(arg), offset)
         return self.power()
 
     def power(self) -> Node:
@@ -211,12 +207,11 @@ class _Parser:
             caret = self.advance()
             exponent = self.unary()  # right-associative, allows k^-2
             _check_power(base, exponent, caret[2])
-            return BinOp("^", base, exponent)
+            return _fold(BinOp("^", base, exponent), caret[2])
         return base
 
     def atom(self) -> Node:
-        tok = self.advance()
-        kind, value, offset = tok
+        kind, value, offset = self.advance()
         if kind == "num":
             return Const(complex(value))
         if kind == "name":
@@ -228,7 +223,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(value, arg)
+                return _fold(Call(value, arg), offset)
             raise SymbolSyntaxError(f"unknown identifier {value!r}", offset)
         if kind == "(":
             node = self.expr()
@@ -238,55 +233,38 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Static analysis used by the '^' rule
+# Constant folding and the static analysis used by the '^' rule
 
 
-def _fold_const(node: Node):
-    """Value of a k-free subtree, or None if it contains k."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Wavenumber):
-        return None
-    if isinstance(node, Neg):
-        v = _fold_const(node.arg)
-        return None if v is None else -v
-    if isinstance(node, Call):
-        v = _fold_const(node.arg)
-        if v is None:
-            return None
-        if node.fn == "abs":
-            return complex(abs(v))
-        return complex(np.sign(v.real)) if v.imag == 0 else None
-    if isinstance(node, BinOp):
-        a = _fold_const(node.lhs)
-        b = _fold_const(node.rhs)
-        if a is None or b is None:
-            return None
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a ** b
-    raise TypeError(node)
+def _fold(node: Node, offset: int) -> Node:
+    """One Const holding the value of `node` if it is k-free, else `node`.
+
+    The parser folds each node as it builds it, so a node is k-free exactly
+    when its operands are Consts.  An evaluation error (sgn of a non-real
+    constant) is reported at `offset`, the offset of the node's token.
+    """
+    operands = (node.arg,) if isinstance(node, (Neg, Call)) else (node.lhs, node.rhs)
+    if not all(isinstance(x, Const) for x in operands):
+        return node
+    try:
+        return Const(complex(_evaluate(node, np.zeros(1))[0]), node)
+    except SymbolEvalError as exc:
+        raise SymbolSyntaxError(str(exc), offset) from None
 
 
 def _provably_real(node: Node) -> bool:
     if isinstance(node, Const):
-        return node.value.imag == 0.0
-    if isinstance(node, Wavenumber):
-        return True
+        v = node.value
+        if np.isfinite(v) and v.imag == 0.0:
+            return True
+        return node.source is not None and _provably_real(node.source)
+    if isinstance(node, (Wavenumber, Call)):
+        return True  # k and abs are real; sgn demands a real argument
     if isinstance(node, Neg):
         return _provably_real(node.arg)
-    if isinstance(node, Call):
-        return True  # abs is real; sgn demands a real argument anyway
     if isinstance(node, BinOp):
         if node.op == "^":
-            e = _fold_const(node.rhs)
-            if e is not None and e.imag == 0 and float(e.real).is_integer():
+            if node.rhs.value.real.is_integer():
                 return _provably_real(node.lhs)
             return _provably_nonneg(node.lhs)
         return _provably_real(node.lhs) and _provably_real(node.rhs)
@@ -295,41 +273,30 @@ def _provably_real(node: Node) -> bool:
 
 def _provably_nonneg(node: Node) -> bool:
     if isinstance(node, Const):
-        return node.value.imag == 0.0 and node.value.real >= 0.0
+        v = node.value
+        if np.isfinite(v) and v.imag == 0.0 and v.real >= 0.0:
+            return True
+        return node.source is not None and _provably_nonneg(node.source)
     if isinstance(node, Call):
         return node.fn == "abs"
     if isinstance(node, BinOp):
-        if node.op in ("+", "*"):
-            return _provably_nonneg(node.lhs) and _provably_nonneg(node.rhs)
-        if node.op == "/":
-            return _provably_nonneg(node.lhs) and _provably_nonneg(node.rhs)
         if node.op == "^":
-            e = _fold_const(node.rhs)
-            if _provably_nonneg(node.lhs):
-                return True
-            if (
-                e is not None
-                and e.imag == 0
-                and float(e.real).is_integer()
-                and int(e.real) % 2 == 0
-                and _provably_real(node.lhs)
-            ):
-                return True
+            even = node.rhs.value.real % 2 == 0
+            return _provably_nonneg(node.lhs) or (even and _provably_real(node.lhs))
+        if node.op in ("+", "*", "/"):
+            return _provably_nonneg(node.lhs) and _provably_nonneg(node.rhs)
     return False
 
 
 def _check_power(base: Node, exponent: Node, offset: int):
-    try:
-        e = _fold_const(exponent)
-    except (ZeroDivisionError, OverflowError):
-        e = complex(np.nan)
-    if e is None:
+    if not isinstance(exponent, Const):
         raise SymbolSyntaxError("exponent must not depend on k", offset)
+    e = exponent.value
     if not np.isfinite(e):
         raise SymbolSyntaxError("exponent is not a finite constant", offset)
     if e.imag != 0.0:
         raise SymbolSyntaxError("exponent must be real", offset)
-    if not float(e.real).is_integer() and not _provably_nonneg(base):
+    if not e.real.is_integer() and not _provably_nonneg(base):
         raise SymbolSyntaxError(
             "non-integer exponent on sign-changing base", offset
         )
@@ -337,6 +304,25 @@ def _check_power(base: Node, exponent: Node, offset: int):
 
 # ---------------------------------------------------------------------------
 # Evaluation
+
+
+def _divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b, divided as reals where b is real: numpy's complex quotient
+    multiplies by 1/b, so 3/10 would not be 0.3 nor 49/49 be 1."""
+    q = a / b
+    real = b.imag == 0.0
+    q.real[real] = a.real[real] / b.real[real]
+    q.imag[real] = a.imag[real] / b.real[real]
+    return q
+
+
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide}
+
+
+def _evaluate(node: Node, k: np.ndarray) -> np.ndarray:
+    """Values of `node` at `k`; a non-finite value is judged by the caller."""
+    with np.errstate(all="ignore"):
+        return _eval_node(node, k)
 
 
 def _eval_node(node: Node, k: np.ndarray) -> np.ndarray:
@@ -356,30 +342,20 @@ def _eval_node(node: Node, k: np.ndarray) -> np.ndarray:
     if isinstance(node, BinOp):
         a = _eval_node(node.lhs, k)
         if node.op == "^":
-            e = _fold_const(node.rhs).real
-            if float(e).is_integer():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return a ** int(e)
+            e = node.rhs.value.real
+            if e.is_integer():
+                return a ** int(e)
             # base is provably >= 0 real by the parse-time check
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return (a.real ** e).astype(complex)
-        b = _eval_node(node.rhs, k)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a / b
+            return (a.real ** e).astype(complex)
+        return _ARITHMETIC[node.op](a, _eval_node(node.rhs, k))
     raise TypeError(node)
 
 
 def parse_symbol(text: str) -> SymbolExpr:
-    """Parse a symbol expression string into a tree.
+    """Parse a symbol expression string into a tree, k-free parts folded.
 
-    Raises SymbolSyntaxError (with byte offset) on malformed input,
-    unknown identifiers, or a non-integer exponent on a sign-changing base.
+    Raises SymbolSyntaxError, with its offset, on the inputs the module
+    docstring lists.
     """
     if not text or not text.strip():
         raise SymbolSyntaxError("empty expression", 0)
@@ -399,7 +375,7 @@ def eval_symbol(expr: SymbolExpr, wavenumbers) -> np.ndarray:
     k = np.atleast_1d(np.asarray(wavenumbers, dtype=float))
     if not np.all(np.isfinite(k)):
         raise SymbolEvalError("wavenumbers must be finite")
-    values = _eval_node(expr.root, k)
+    values = _evaluate(expr.root, k)
 
     bad = ~np.isfinite(values)
     if np.any(bad):
@@ -414,7 +390,7 @@ def eval_symbol(expr: SymbolExpr, wavenumbers) -> np.ndarray:
 def _origin_value(expr: SymbolExpr) -> complex:
     # symmetrized limit at k=0; only 0 is an accepted value
     for d in (1e-4, 1e-6, 1e-8):
-        probe = _eval_node(expr.root, np.array([d, -d]))
+        probe = _evaluate(expr.root, np.array([d, -d]))
         if not np.all(np.isfinite(probe)):
             raise SymbolEvalError("singularity at k=0 without convention")
         sym = 0.5 * (probe[0] + probe[1])
@@ -463,17 +439,10 @@ class AdmissibilityReport:
     hermitian: bool
     dissipative: bool
     max_re: float
-    passed: bool
 
-    @staticmethod
-    def combine(zero_at_origin, hermitian, dissipative, max_re):
-        return AdmissibilityReport(
-            zero_at_origin=zero_at_origin,
-            hermitian=hermitian,
-            dissipative=dissipative,
-            max_re=max_re,
-            passed=bool(zero_at_origin and hermitian and dissipative),
-        )
+    @property
+    def passed(self) -> bool:
+        return self.zero_at_origin and self.hermitian and self.dissipative
 
 
 def admissibility_samples(k_max: float = 256.0, n: int = 512) -> np.ndarray:
@@ -500,7 +469,7 @@ def validate_admissibility(expr: SymbolExpr, sample_wavenumbers) -> Admissibilit
     everything = np.concatenate([[v0], vp, vm])
     re_slack = everything.real - CHECK_TOL * (1.0 + np.abs(everything))
     dissipative = bool(np.max(re_slack) <= 0.0)
-    return AdmissibilityReport.combine(
+    return AdmissibilityReport(
         zero_at_origin, hermitian, dissipative, float(np.max(everything.real))
     )
 

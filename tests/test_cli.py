@@ -68,6 +68,13 @@ def test_certify_missing_profile_exit_code(tmp_path):
     assert run_cli(["certify", "--profile", str(tmp_path / "nope")]) == 1
 
 
+def test_front_out_in_missing_directory(tmp_path, capsys):
+    """An unwritable output path is an input error, not a traceback."""
+    assert run_cli(["front", "--preset", "burgers", "--n", "256",
+                    "--out", str(tmp_path / "missing" / "prof")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["front", "--method", "bogus"])
@@ -278,6 +285,7 @@ def test_sweep_keeps_aborted_run(tmp_path):
     aborted = rows[str(out / "amplitude_30")]
     assert aborted["status"] == "3"
     assert float(aborted["l2_final"]) > 0.0
+    assert "last good state at t=" in aborted["error"]
     assert rows[str(out / "amplitude_0.3")]["status"] == "0"
 
 

@@ -1,9 +1,12 @@
+import ast
+import re
+
 import numpy as np
 import pytest
 
 from frontlab import (eval_symbol, parse_symbol, preset, rescale_symbol,
                       spec_from_text, validate_admissibility)
-from frontlab.symbols import (SymbolEvalError, SymbolSyntaxError,
+from frontlab.symbols import (Const, SymbolEvalError, SymbolSyntaxError,
                               admissibility_samples)
 
 K_SAMPLES = np.linspace(-40.0, 40.0, 321)
@@ -196,3 +199,119 @@ def test_parse_rejects_exponent_that_does_not_fold(text, offset):
     with pytest.raises(SymbolSyntaxError, match="finite constant") as err:
         parse_symbol(text)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text,value", [
+    ("2*3*k", 6.0), ("-(1+i)*(1-i)*k^2", -2.0),
+])
+def test_parse_folds_constant_operand(text, value):
+    lhs = parse_symbol(text).root.lhs
+    assert isinstance(lhs, Const) and lhs.value == value
+
+
+@pytest.mark.parametrize("text,offset", [("k^(sgn(i))", 3), ("sgn(i)*k", 0)])
+def test_parse_rejects_sgn_of_non_real_constant(text, offset):
+    with pytest.raises(SymbolSyntaxError, match="sgn") as err:
+        parse_symbol(text)
+    assert err.value.offset == offset
+
+
+def test_folded_base_is_provably_nonnegative():
+    # i*i*i*i folds to 1, so the base is a nonnegative multiple of k^2
+    expr = parse_symbol("(i*i*i*i*k^2)^0.5")
+    assert np.array_equal(eval_symbol(expr, K_SAMPLES), np.abs(K_SAMPLES))
+    # (-1)^100 folds to 1-2e-15j; the tree it came from is still real
+    parse_symbol("((-1)^100*k^2)^0.5")
+
+
+def test_non_finite_constant_base_is_left_to_evaluation():
+    # 1/0 folds to a non-finite constant; the '^' rule judges the tree it
+    # was folded from, 1 over 0, and evaluation decides the rest
+    expr = parse_symbol("(1/0)^-0.5*k")
+    assert np.all(eval_symbol(expr, K_SAMPLES) == 0.0)
+    with pytest.raises(SymbolEvalError, match="not finite"):
+        eval_symbol(parse_symbol("(1/0)^0.5*k"), K_SAMPLES)
+    with pytest.raises(SymbolEvalError, match="not finite"):
+        eval_symbol(parse_symbol("abs(-(0/0))^-0.5*k"), K_SAMPLES)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(-1/0)^0.5*k", 6), ("(-1/0)^-0.5*k", 6), ("((1/0)-2)^0.5*k", 9),
+])
+def test_non_finite_constant_base_keeps_its_sign(text, offset):
+    with pytest.raises(SymbolSyntaxError, match="sign-changing") as err:
+        parse_symbol(text)
+    assert err.value.offset == offset
+
+
+def test_fold_divides_by_subnormal_constant():
+    assert parse_symbol("0.0/2.225073858507e-311").root.value == 0.0
+
+
+def test_quotient_exponent_is_correctly_rounded():
+    # a real quotient is n/d, not n*(1/d): 49/49 is the integer 1
+    # and 3/10 is the double nearest 0.3
+    assert parse_symbol("k^(49/49)").root.rhs.value == 1.0
+    expr = parse_symbol("abs(k)^(3/10)")
+    assert np.array_equal(eval_symbol(expr, K_SAMPLES), np.abs(K_SAMPLES) ** 0.3)
+    assert parse_symbol("3/10*k").root.lhs.value == 0.3
+
+
+_ORACLE_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name,
+                 ast.Load, ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div,
+                 ast.Pow, ast.USub)
+
+
+def _sgn(z):
+    if abs(z.imag) > 0.0:
+        raise ValueError("sgn of a non-real argument")
+    return float(np.sign(z.real))
+
+
+def _ast_value(text: str) -> complex:
+    """The value of a k-free symbol text by Python's own parser and numbers."""
+    source = re.sub(r"\bi\b", "1j", text).replace("^", "**")
+    tree = ast.parse(source, mode="eval")
+    assert all(isinstance(node, _ORACLE_NODES) for node in ast.walk(tree))
+    code = compile(tree, "<symbol>", "eval")
+    return complex(eval(code, {"__builtins__": {}}, {"abs": abs, "sgn": _sgn}))
+
+
+def _k_free_texts(st):
+    """k-free texts from the grammar: literals, i, chains of + - * /,
+    unary minus, parentheses, abs, sgn of a real argument, and powers with
+    constant exponents (non-integer ones on an abs base)."""
+    def grow(inner):
+        tail = st.lists(st.tuples(st.sampled_from("+-*/"), inner).map("".join),
+                        min_size=1, max_size=3).map("".join)
+        return (st.tuples(inner, tail).map("".join)
+                | inner.map("-{}".format) | inner.map("({})".format)
+                | inner.map("abs({})".format)
+                | st.tuples(inner, inner).map(
+                    lambda ab: f"sgn(abs({ab[0]})-abs({ab[1]}))")
+                | st.tuples(inner, st.integers(-3, 4)).map(
+                    lambda be: f"({be[0]})^{be[1]}")
+                | inner.map("abs({})^1.5".format))
+    literals = st.floats(0.0, 1e3).map(repr) | st.just("i")
+    return st.recursive(literals, grow, max_leaves=8)
+
+
+def test_k_free_expressions_fold_to_the_ast_value():
+    """Each k-free text parses to one Const equal, where both are finite,
+    to Python's evaluation of the same text."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None,
+                         database=None)
+    @hypothesis.given(_k_free_texts(hypothesis.strategies))
+    def check(text):
+        root = parse_symbol(text).root
+        assert isinstance(root, Const)
+        try:
+            want = _ast_value(text)
+        except (ZeroDivisionError, OverflowError):
+            return  # the fold carries on with inf or nan instead
+        if np.isfinite(want) and np.isfinite(root.value):
+            assert abs(root.value - want) <= 1e-12 * abs(want)
+
+    check()
