@@ -48,10 +48,6 @@ class SchrodingerDiscretization:
     eps: float
     half_width: float
 
-    @property
-    def m(self) -> int:
-        return self.diag.size
-
 
 def _lattice(m: int, half_width: float) -> tuple[float, np.ndarray]:
     """Spacing and the m interior nodes of [-half_width, half_width]."""
@@ -178,8 +174,9 @@ def certify_front(front: FrontProfile,
 
     h1, nodes1 = _lattice(m, half_width)
     h2, nodes2 = _lattice(2 * m, half_width)
-    # potential values are eps-independent; interpolate once per node set
-    v1, v2 = 0.5 * front.phi_prime_at(nodes1), 0.5 * front.phi_prime_at(nodes2)
+    # potential values are eps-independent: one transform per lattice
+    v1 = 0.5 * front.phi_prime_on_lattice(nodes1, h1)
+    v2 = 0.5 * front.phi_prime_on_lattice(nodes2, h2)
 
     eps_all = (0.0,) + tuple(float(e) for e in eps_samples)
     counts, flags, agree = [], [], True

@@ -290,11 +290,12 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     calibration runs.
 
     Two guards abort the run: the advective step guard, checked before
-    every step on the bound dt * max|v| * k_max > 1 with
-    max|v| <= sum |v_hat|/n, and a non-finite ||v||_2 after a step.  Either
-    one ends the loop, and one raise site turns it into a StabilityError
-    naming the guard, the time of the failing state and the last recorded
-    time; its `partial` is the Trajectory up to that record (aborted=True).
+    every step unless 'nonlinear' is disabled, on the bound
+    dt * max|v| * k_max > 1 with max|v| <= sum |v_hat|/n, and a
+    non-finite ||v||_2 after a step.  Either one ends the loop, and one
+    raise site turns it into a StabilityError naming the guard, the time
+    of the failing state and the last recorded time; its `partial` is the
+    Trajectory up to that record (aborted=True).
     """
     grid = v0.grid
     if grid is not front.grid and grid != front.grid:
@@ -352,7 +353,7 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     t = 0.0
 
     for istep in range(1, nsteps + 1):
-        advect = config.dt * ws.sup_bound(mag) * ws.k_max
+        advect = config.dt * ws.sup_bound(mag) * ws.k_max if ws.quad else 0.0
         if advect > 1.0:
             abort = ("advective step limit exceeded "
                      f"(dt*max|v|*k_max = {advect:.3g} > 1)")

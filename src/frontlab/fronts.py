@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .spectral import Field, Grid, derivative, trig_interpolate
+from .spectral import (Field, Grid, derivative, trig_interpolate,
+                       trig_interpolate_lattice)
 from .symbols import MultiplierSpec, preset, rescale_symbol
 
 __all__ = [
@@ -145,6 +146,14 @@ class FrontProfile:
             self.grid, self.phi_prime.values - ref_d1(self.grid.x), points
         )
         return ref_d1(np.asarray(points, dtype=float)) + dw
+
+    def phi_prime_on_lattice(self, nodes: np.ndarray, h: float) -> np.ndarray:
+        """phi_prime_at(nodes) for nodes spaced h, by one chirp-z transform."""
+        dw = trig_interpolate_lattice(
+            self.grid, self.phi_prime.values - ref_d1(self.grid.x),
+            nodes[0], h, nodes.size
+        )
+        return ref_d1(nodes) + dw
 
 
 def _hypothesis_report(grid: Grid, phi_prime: np.ndarray,

@@ -15,8 +15,6 @@ options, and identical inputs give byte-identical files.
   NaN as `NaN` and a final newline in the file.  A numpy scalar is stored
   as the plain value it holds; any other object without a JSON form
   raises TypeError.
-- Fields also have a binary form: int64 n, float64 length, then the
-  samples as little-endian float64.
 
 `RunWriter` writes a run directory: config.snapshot, profile.csv/.json,
 certificate.json, series.csv (the `NormSeries.columns`), fields/t_<stamp>.csv
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import json
-import struct
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -42,14 +39,11 @@ from .symbols import spec_from_text
 
 __all__ = [
     "write_table", "read_table", "to_json", "write_json", "read_json",
-    "write_field_csv", "read_field_csv", "write_field_binary",
-    "read_field_binary", "write_profile", "read_profile", "write_certificate",
-    "read_certificate", "write_sweep_csv", "write_series_csv",
-    "read_series_csv", "RunWriter", "read_run", "write_verdicts",
-    "write_sweep_summary",
+    "write_field_csv", "read_field_csv", "write_profile", "read_profile",
+    "write_certificate", "read_certificate", "write_sweep_csv",
+    "write_series_csv", "read_series_csv", "RunWriter", "read_run",
+    "write_verdicts", "write_sweep_summary",
 ]
-
-_BIN_HEADER = struct.Struct("<qd")
 
 
 def _cell(value):
@@ -109,21 +103,6 @@ def read_field_csv(path) -> Field:
     data = _float_rows(read_table(path)[1])
     # x[0] = -length/2 exactly, so the grid's nodes come back bit for bit
     return Field(make_grid(len(data), -2.0 * data[0, 0]), data[:, 1])
-
-
-def write_field_binary(path, field: Field):
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(field.grid.n, field.grid.length))
-        fh.write(field.values.astype("<f8").tobytes())
-
-
-def read_field_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        n, length = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        values = np.frombuffer(fh.read(8 * n), dtype="<f8")
-    if values.size != n:
-        raise ValueError("truncated field file")
-    return Field(make_grid(n, length), values.copy())
 
 
 def write_profile(base, profile: FrontProfile) -> tuple[Path, Path]:

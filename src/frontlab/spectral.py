@@ -3,7 +3,10 @@
 Line problems are posed on a large periodic box; fields that decay fast
 enough near the box edge behave like line functions.  The Fourier
 convention pairs the angular wavenumber k = 2*pi*xi with d/dx <-> i*k;
-band cutoffs are expressed in the ordinary frequency xi.
+band cutoffs are expressed in the ordinary frequency xi.  The certificate
+evaluates phi' on its uniform FD lattices by one Bluestein (chirp-z)
+transform each, `trig_interpolate_lattice`; the dense mode sum
+`trig_interpolate` serves any points and is its test oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "kernel_positivity_check",
     "KernelReport",
     "trig_interpolate",
+    "trig_interpolate_lattice",
 ]
 
 
@@ -247,3 +251,28 @@ def trig_interpolate(grid: Grid, values: np.ndarray, points) -> np.ndarray:
     if np.ndim(points) == 0:
         return result[0]
     return result
+
+
+def trig_interpolate_lattice(grid: Grid, values: np.ndarray, x_first: float,
+                             h: float, m: int) -> np.ndarray:
+    """`trig_interpolate` at the m points x_first + h*p, p = 0..m-1.
+
+    With alpha = 2*pi*h/length and mode index j, j*p = (j^2 + p^2 -
+    (p-j)^2)/2 turns the mode sum into one convolution with the chirp
+    exp(-i*alpha*q^2/2) (Bluestein), done by FFT in O((n+m) log(n+m)).
+    """
+    n = grid.n
+    coeffs = np.fft.fftshift(np.fft.fft(np.asarray(values, dtype=float))) / n
+    if n % 2 == 0:
+        coeffs[0] = coeffs[0].real  # the unpaired Nyquist mode, as a cosine
+    j = np.arange(-(n // 2), n - n // 2, dtype=np.int64)
+
+    def chirp(q):  # squares of int64 indices are exact
+        return np.exp((1j * np.pi * h / grid.length) * (q * q))
+
+    offset = 2.0 * np.pi * (x_first + 0.5 * grid.length) / grid.length
+    b = coeffs * chirp(j) * np.exp(1j * offset * j)
+    kernel = np.conj(chirp(np.arange(-j[-1], m - j[0], dtype=np.int64)))
+    size = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
+    conv = np.fft.ifft(np.fft.fft(b, size) * np.fft.fft(kernel, size))
+    return (chirp(np.arange(m, dtype=np.int64)) * conv[n - 1:n - 1 + m]).real

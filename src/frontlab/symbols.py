@@ -343,10 +343,14 @@ def _eval_node(node: Node, k: np.ndarray) -> np.ndarray:
         a = _eval_node(node.lhs, k)
         if node.op == "^":
             e = node.rhs.value.real
-            if e.is_integer():
-                return a ** int(e)
-            # base is provably >= 0 real by the parse-time check
-            return (a.real ** e).astype(complex)
+            if not e.is_integer() or not np.any(a.imag):
+                # a real power; a non-integer one has a >= 0 (parse-time check)
+                return (a.real ** e).astype(complex)
+            # repeated squaring: numpy's complex power uses exp/log from |e| = 100
+            out = np.ones_like(a)
+            for bit in bin(abs(int(e)))[:1:-1]:
+                out, a = (out * a if bit == "1" else out), a * a
+            return out if e >= 0 else 1.0 / out
         return _ARITHMETIC[node.op](a, _eval_node(node.rhs, k))
     raise TypeError(node)
 
@@ -391,11 +395,9 @@ def _origin_value(expr: SymbolExpr) -> complex:
     # symmetrized limit at k=0; only 0 is an accepted value
     for d in (1e-4, 1e-6, 1e-8):
         probe = _evaluate(expr.root, np.array([d, -d]))
-        if not np.all(np.isfinite(probe)):
-            raise SymbolEvalError("singularity at k=0 without convention")
-        sym = 0.5 * (probe[0] + probe[1])
+        finite = np.all(np.isfinite(probe))
         scale = 1.0 + float(np.max(np.abs(probe)))
-        if abs(sym) > 1e-9 * scale:
+        if not finite or abs(0.5 * (probe[0] + probe[1])) > 1e-9 * scale:
             raise SymbolEvalError("singularity at k=0 without convention")
     return 0.0
 

@@ -1,12 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from frontlab import certify_front, count_negative_eigenvalues, make_grid, \
-    schrodinger_tridiagonal, shoot_local_front, sweep_nu
-from frontlab.certify import CertificationError, count_below
+from frontlab import certify_front, closed_form_burgers, \
+    count_negative_eigenvalues, make_grid, schrodinger_tridiagonal, \
+    shoot_local_front, sweep_nu
+from frontlab.certify import ZERO_EIGENVALUE_TOL, CertificationError, \
+    count_below
+from frontlab.fronts import ref_d1, ref_profile
+from frontlab.spectral import Field
 
 
 def poschl_teller_disc(v0, eps=0.0, m=4000, half_width=40.0):
@@ -83,6 +88,88 @@ def test_certificate_burgers(burgers_front, burgers_cert):
     assert by_eps[0.8] == 2  # the well deepens relative to -(1-eps) d^2
     assert cert.richardson_ok
     assert cert.min_count == 1
+
+
+def test_certificate_matches_dense_interpolation(
+        burgers_front, burgers_cert):
+    """phi' from the lattice transform gives the counts and flags that
+    phi' from dense interpolation gives."""
+    counts, flags = {}, {}
+    for m in (burgers_cert.m, 2 * burgers_cert.m):
+        hw = burgers_cert.half_width
+        h = 2.0 * hw / (m + 1)
+        v = 0.5 * burgers_front.phi_prime_at(-hw + h * np.arange(1, m + 1))
+        for eps in burgers_cert.eps_samples:
+            d = schrodinger_tridiagonal(lambda y: v, eps, m, hw)
+            below = count_below(d.diag, d.offdiag, -ZERO_EIGENVALUE_TOL)
+            upper = count_below(d.diag, d.offdiag, ZERO_EIGENVALUE_TOL)
+            counts.setdefault(m, []).append(below)
+            flags.setdefault(m, []).append(upper != below)
+    fine = 2 * burgers_cert.m
+    assert burgers_cert.counts == tuple(counts[fine])
+    assert burgers_cert.near_zero_flags == tuple(
+        a or b for a, b in zip(flags[burgers_cert.m], flags[fine]))
+    assert burgers_cert.richardson_ok == (counts[burgers_cert.m] == counts[fine])
+
+
+def _collocation_counts(phi_prime, length, eps_values, gap):
+    """Negative-eigenvalue counts of the dense Fourier-collocation matrix
+    of -(1-eps) d^2/dx^2 + phi'/2 on a periodic grid, at each eps whose
+    spectrum has no eigenvalue within `gap` of zero."""
+    n = phi_prime.size
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    d2 = np.fft.ifft(-(k ** 2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+    counts = {}
+    for eps in eps_values:
+        ev = np.linalg.eigvalsh(-(1.0 - eps) * d2 + np.diag(0.5 * phi_prime))
+        if np.min(np.abs(ev)) > gap:
+            counts[eps] = int(np.sum(ev < 0.0))
+    return counts
+
+
+def _poschl_teller_front(grid, v0):
+    # phi'/2 = -v0 sech^2(x/2); v0 = 1/4 is the Burgers front itself
+    scale = 4.0 * v0
+    return dataclasses.replace(
+        closed_form_burgers(grid),
+        phi=Field(grid, scale * ref_profile(grid.x)),
+        phi_prime=Field(grid, scale * ref_d1(grid.x)))
+
+
+def _sweep_front(nu):
+    length = max(120.0, 100.0 * abs(nu))  # the box sweep_nu uses
+    return shoot_local_front(nu, make_grid(4096, length), tol=1e-6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ["pt0.25", "pt0.75", "nu2.2", "nu4.6"])
+def test_counts_match_dense_collocation_oracle(grid_std, case):
+    """certify_front's counts against eigvalsh of a dense Fourier-collocation
+    matrix (periodic, n = 1024), which shares nothing with the FD lattice.
+
+    Only eps whose dense spectrum keeps a gap around zero are compared.
+    The Poschl-Teller cases and nu = 2.2 use a gap of 1e-3; nu = 2.2 is
+    sampled on [-40, 40), where |phi'| < 5e-5 outside, which moves no
+    eigenvalue by more than 3e-5.  The unsatisfied nu = 4.6 front needs
+    its own box of length 460 (its second bound state lies near -1.4e-4
+    at eps = 0 and spreads far into the slowly decaying tail), where
+    periodic continuum states come within 4e-6 to 4e-5 of zero at every
+    eps; its gap is 1e-5.
+    """
+    if case.startswith("pt"):
+        front = _poschl_teller_front(grid_std, float(case[2:]))
+        phi_prime, length, gap = front.phi_prime.values, grid_std.length, 1e-3
+    elif case == "nu2.2":
+        front = _sweep_front(2.2)
+        phi_prime, length, gap = front.phi_prime_at(grid_std.x), grid_std.length, 1e-3
+    else:
+        front = _sweep_front(4.6)
+        phi_prime, length, gap = front.phi_prime.values[::4], front.grid.length, 1e-5
+    cert = certify_front(front, strict=False)
+    assert cert.satisfied == (case in ("pt0.25", "nu2.2"))
+    dense = _collocation_counts(phi_prime, length, cert.eps_samples, gap)
+    assert len(dense) >= 3
+    assert dense == {e: c for e, c in zip(cert.eps_samples, cert.counts) if e in dense}
 
 
 def test_certificate_monotone_kdvb(grid_std):

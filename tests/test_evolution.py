@@ -199,6 +199,23 @@ def test_cfl_guard(grid_std, burgers_front):
     assert partial.series.t == [0.0]
 
 
+def test_cfl_guard_skipped_without_nonlinear_term():
+    """A pure-heat calibration run has no self-advection, so a step far
+    beyond dt*max|v|*k_max = 1 completes and is the exact heat flow."""
+    grid = make_grid(2048, 160.0)
+    v0 = make_perturbation("gaussian", 1.0, 1.0, grid)
+    cfg = StepperConfig(dt=0.05, t_end=0.5, record_every=5, snapshot_every=10)
+    ws = _Workspace(closed_form_burgers(grid), preset("burgers"), cfg.gamma, cfg.dealias)
+    assert cfg.dt * ws.sup_bound(np.abs(ws.augment(v0.values)[:-1])) * ws.k_max > 1.0
+    traj = quiet_evolve(v0, closed_form_burgers(grid), preset("burgers"), cfg,
+                        disable=("front", "nonlinear", "modulation"))
+    t_end, v_end = traj.snapshots[-1]
+    assert t_end == pytest.approx(0.5) and not traj.aborted
+    want = np.exp(t_end * ws.lin) * ws.augment(v0.values)[:-1]
+    got = np.fft.rfft(v_end.values)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_non_finite_abort_keeps_partial_run(grid_std, burgers_front, monkeypatch):
     """A step that leaves the field non-finite aborts the run; the error
     carries the trajectory up to the last good record."""

@@ -7,11 +7,10 @@ import pytest
 from frontlab import Field, NormSeries, RunConfig, make_grid, preset
 from frontlab.cli import main
 from frontlab.config import operator_from_config
-from frontlab.runio import (RunWriter, read_certificate, read_field_binary,
-                            read_field_csv, read_json, read_profile, read_run,
-                            read_series_csv, to_json, write_certificate,
-                            write_field_binary, write_field_csv, write_json,
-                            write_profile, write_series_csv)
+from frontlab.runio import (RunWriter, read_certificate, read_field_csv,
+                            read_json, read_profile, read_run, read_series_csv,
+                            to_json, write_certificate, write_field_csv,
+                            write_json, write_profile, write_series_csv)
 
 
 @pytest.fixture
@@ -31,26 +30,6 @@ def test_field_csv_round_trip(tmp_path, sample_field):
     odd = Field(make_grid(512, 10.1), sample_field.values.repeat(8))
     write_field_csv(path, odd)
     assert read_field_csv(path).grid == odd.grid
-
-
-def test_field_binary_round_trip(tmp_path, sample_field):
-    path = tmp_path / "field.fbin"
-    write_field_binary(path, sample_field)
-    again = read_field_binary(path)
-    assert again.grid == sample_field.grid
-    assert np.array_equal(again.values, sample_field.values)
-    # header layout: int64 count, float64 length, little endian
-    raw = path.read_bytes()
-    assert len(raw) == 16 + 8 * sample_field.grid.n
-    assert int.from_bytes(raw[:8], "little") == sample_field.grid.n
-
-
-def test_field_binary_truncation_detected(tmp_path, sample_field):
-    path = tmp_path / "field.fbin"
-    write_field_binary(path, sample_field)
-    path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ValueError, match="truncated"):
-        read_field_binary(path)
 
 
 def test_profile_round_trip(tmp_path, burgers_front):

@@ -5,7 +5,8 @@ from scipy.integrate import quad
 from frontlab import (Field, apply_multiplier, band_project, dealias,
                       derivative, kernel_positivity_check, lp_norm,
                       make_grid, weighted_l2)
-from frontlab.spectral import trig_interpolate
+from frontlab.fronts import shoot_local_front
+from frontlab.spectral import trig_interpolate, trig_interpolate_lattice
 
 
 def test_make_grid_definition():
@@ -270,6 +271,38 @@ def test_trig_interpolate_reproduces_samples(grid_std):
     values = np.fft.ifft(coeffs).real
     got = trig_interpolate(grid_std, values, grid_std.x[::7])
     assert np.max(np.abs(got - values[::7])) <= 1e-12
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("nu,n", [(4.0, 4096), (-0.24, 2048), (0.1, 1024)])
+def test_lattice_interpolation_matches_dense_on_fd_nodes(nu, n):
+    """phi' on the certificate's two FD lattices (m = 2000 and 4000 nodes
+    over 0.9 of the box, as in the nu sweep) by one chirp-z transform,
+    against the dense mode sum."""
+    length = max(120.0, 100.0 * abs(nu))
+    front = shoot_local_front(nu, make_grid(n, length), tol=1e-6)
+    scale = np.max(np.abs(front.phi_prime.values))
+    for m in (2000, 4000):
+        half_width = 0.45 * length
+        h = 2.0 * half_width / (m + 1)
+        nodes = -half_width + h * np.arange(1, m + 1)
+        got = front.phi_prime_on_lattice(nodes, h)
+        assert np.max(np.abs(got - front.phi_prime_at(nodes))) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("x_first,h,m", [
+    (-37.3, 0.071, 1001),    # odd m
+    (-61.0, 0.097, 1500),    # reaches past both ends of the box: wraps
+    (12.5, -0.05, 77),       # descending
+])
+def test_lattice_interpolation_odd_and_wrapping(grid_std, x_first, h, m):
+    rng = np.random.default_rng(9)
+    values = np.exp(-grid_std.x ** 2 / 50.0) * np.cos(3.0 * grid_std.x) \
+        + 1e-3 * rng.standard_normal(grid_std.n)
+    points = x_first + h * np.arange(m)
+    want = trig_interpolate(grid_std, values, points)
+    got = trig_interpolate_lattice(grid_std, values, x_first, h, m)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_kernel_accepts_multiplier_spec():

@@ -257,6 +257,23 @@ def test_quotient_exponent_is_correctly_rounded():
     assert parse_symbol("3/10*k").root.lhs.value == 0.3
 
 
+def test_integer_power_of_real_base_is_real():
+    # numpy's complex power goes through exp/log from exponent 100 on
+    assert parse_symbol("(-1)^100*k").root.lhs.value.imag == 0.0
+    expr = parse_symbol("abs(k)^((-1)^100)")
+    assert np.array_equal(eval_symbol(expr, K_SAMPLES), np.abs(K_SAMPLES))
+    want = float(3 ** 101)
+    assert abs(parse_symbol("3^101").root.value.real - want) <= np.spacing(want)
+
+
+def test_integer_power_of_complex_base_by_squaring():
+    got = eval_symbol(parse_symbol("(i*k)^101"), K_SAMPLES)
+    want = np.array([complex(1j * k) ** 101 for k in K_SAMPLES])
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.all(got.real == 0.0)
+    assert parse_symbol("(1+i)^-4*k").root.lhs.value == -0.25
+
+
 _ORACLE_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name,
                  ast.Load, ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div,
                  ast.Pow, ast.USub)
