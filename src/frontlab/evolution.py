@@ -19,14 +19,15 @@ integrated exactly (ETDRK4, Cox & Matthews 2002; coefficients evaluated
 by a series/direct split instead of contour averages so complex symbols
 are handled uniformly); the front terms stay explicit.
 
-The state is the real-FFT half spectrum of v (modes 0..n/2) plus x0.
-The explicit terms are taken in divergence form, with the flux
-phi*v + v^2/2 formed in physical space and phi_hat' precomputed, so one
-evaluation costs two real FFTs: one irfft for v, one rfft for the flux.
-Norms of the state come from the half spectrum by Parseval."""
+The state is x0 and the real-FFT modes 0..n/3 of v that the two-thirds
+rule keeps (0..n/2 without dealiasing).  The explicit terms are taken in
+divergence form, with the flux phi*v + v^2/2 formed in physical space and
+phi_hat' precomputed, so one evaluation costs two real FFTs: one irfft
+for v, one rfft for the flux.  Norms come from the modes by Parseval."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from scipy.interpolate import CubicSpline
 
 from .diagnostics import NormSeries
 from .fronts import FrontProfile, ref_profile
-from .spectral import Field, Grid, dealias_mask, lp_norm, weighted_l2
+from .spectral import Field, Grid, lp_norm, weighted_l2
 from .symbols import MultiplierSpec
 
 __all__ = [
@@ -96,16 +97,14 @@ def boundary_contamination(values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand side on the real-FFT half spectrum
+# Right-hand side on the retained real-FFT modes
 
 
 class _Workspace:
-    """Precomputed grid/front data shared by rhs evaluations.
-
-    Spectra are real-FFT half spectra, modes 0..n/2.  The Nyquist entry
-    keeps the full spectrum's wavenumber -k_max, so `lin` there is the
-    value the complex-spectrum symbol takes.
-    """
+    """Precomputed grid/front data shared by rhs evaluations, on the
+    real-FFT modes the state keeps: 0..n/3, which the two-thirds rule
+    retains, or all of 0..n/2 without dealiasing (the Nyquist entry keeps
+    -k_max).  `lin` spans all of 0..n/2, for `rhs_perturbation`."""
 
     def __init__(self, front: FrontProfile, spec: MultiplierSpec,
                  gamma: float, dealias: bool,
@@ -114,68 +113,79 @@ class _Workspace:
         grid = front.grid
         n = grid.n
         k = grid.k[: n // 2 + 1]
+        self.modes = n // 3 + 1 if dealias else k.size
         self.n = n
         self.gamma = gamma
         self.h = grid.h
-        self.k = k
+        self.k = k[: self.modes]
         self.k_max = grid.k_max
-        self.mask = dealias_mask(n)[: k.size] if dealias else np.ones(k.size, bool)
-        # the payload is masked through ik and phi_hat'
-        self.ik = np.where(self.mask, grid.ik[: k.size], 0.0)
-        # Parseval weights: DC and Nyquist appear once in the full
-        # spectrum, every other mode twice (with its conjugate)
+        self.ik = grid.ik[: self.modes]
+        # Parseval weights (DC and Nyquist once, other modes twice) sum over
+        # all of 0..n/2, zero past the kept modes: a BLAS dot rounds by length
         self.weight = np.full(k.size, 2.0)
         self.weight[0] = 1.0
         if n % 2 == 0:
             self.weight[-1] = 1.0
+        self._padded = np.zeros(k.size)
+        # the FFT outputs of nonlinear_hat, overwritten by each evaluation
+        self._v, self._flux_hat = np.empty(n), np.empty(k.size, complex)
         self.lin = -k ** 2 + spec.values(k)
         self.dphi = front.phi_prime.values
-        self.dphi_hat = np.where(self.mask, np.fft.rfft(self.dphi), 0.0)
+        self.dphi_hat = np.fft.rfft(self.dphi)[: self.modes]
         # flux phi*v + v^2/2; a disabled term gets a zero coefficient
         self.phi_flux = np.zeros(n) if "front" in disable else front.phi.values
         self.quad = 0.0 if "nonlinear" in disable else 0.5
         self.modulation = "modulation" not in disable
 
     def augment(self, values: np.ndarray) -> np.ndarray:
-        """Augmented state [masked rfft(v), x0 = 0]."""
-        return np.concatenate([np.where(self.mask, np.fft.rfft(values), 0.0), [0.0]])
+        """Augmented state [rfft(v) on the kept modes, x0 = 0]."""
+        return np.append(np.fft.rfft(values)[: self.modes], 0.0)
 
     def l2sq(self, mag: np.ndarray) -> float:
         """||v||_2^2 by Parseval, (h/n) * sum_k w_k |v_hat_k|^2."""
-        return self.h / self.n * float(self.weight @ (mag * mag))
+        np.multiply(mag, mag, out=self._padded[: self.modes])
+        return self.h / self.n * float(self.weight @ self._padded)
 
     def sup_bound(self, mag: np.ndarray) -> float:
-        """max|v| <= sum_k w_k |v_hat_k| / n from the half-spectrum moduli."""
-        return float(self.weight @ mag) / self.n
+        """max|v| <= sum_k w_k |v_hat_k| / n from the moduli of the modes."""
+        self._padded[: self.modes] = mag
+        return float(self.weight @ self._padded) / self.n
 
-    def nonlinear_hat(self, vhat: np.ndarray) -> tuple[np.ndarray, float]:
-        """Masked payload -ik*rfft(phi*v + v^2/2) + x0'*(ik*v_hat + phi_hat')
-        and x0' = -gamma*<phi', v>, from one irfft and one rfft.
+    def nonlinear_hat(self, z: np.ndarray) -> tuple[np.ndarray, float]:
+        """Tendency [payload, x0'] of z = [v_hat, x0], one fresh array, from
+        one irfft and one rfft: -ik*rfft(phi*v + v^2/2) + x0'*(ik*v_hat +
+        phi_hat') on the kept modes (z's others enter via v), x0' = -gamma*<phi', v>.
 
         The divergence form -(phi*v)': phi*v decays at the box seam even
         though phi itself jumps there, and parity stays exact for odd v.
         """
-        v = np.fft.irfft(vhat, self.n)
+        v = np.fft.irfft(z[:-1], self.n, out=self._v)
         x0_dot = -self.gamma * self.h * float(self.dphi @ v) if self.modulation else 0.0
-        flux_hat = np.fft.rfft((self.phi_flux + self.quad * v) * v)
-        return self.ik * (x0_dot * vhat - flux_hat) + x0_dot * self.dphi_hat, x0_dot
+        flux = (self.phi_flux + self.quad * v) * v
+        flux_hat = np.fft.rfft(flux, out=self._flux_hat)[: self.modes]
+        out = np.empty(self.modes + 1, complex)
+        np.multiply(self.ik, x0_dot * z[: self.modes] - flux_hat, out=out[:-1])
+        out[:-1] += x0_dot * self.dphi_hat
+        out[-1] = x0_dot
+        return out, x0_dot
 
 
 def rhs_perturbation(v: Field, front: FrontProfile, spec: MultiplierSpec,
                      gamma: float = 1.1, dealias: bool = True) -> tuple[Field, float]:
     """Full tendency of the perturbation equation and the translation speed.
 
-    The linear symbol acts on v_hat; the payload is the one `evolve`
-    steps with, dealiased by the two-thirds rule when `dealias` is set.
+    The linear symbol acts on every mode of v_hat; the payload is the one
+    `evolve` steps with, on the modes the two-thirds rule keeps if `dealias`.
     """
     ws = _Workspace(front, spec, gamma, dealias)
     vhat = np.fft.rfft(v.values)
-    payload, x0_dot = ws.nonlinear_hat(vhat)
+    zdot, x0_dot = ws.nonlinear_hat(np.append(vhat, 0.0))
+    payload = np.pad(zdot[:-1], (0, vhat.size - ws.modes))
     return Field(v.grid, np.fft.irfft(ws.lin * vhat + payload, ws.n)), x0_dot
 
 
 # ---------------------------------------------------------------------------
-# Steppers on the augmented half-spectrum state [v_hat, x0]
+# Steppers on the augmented state [v_hat, x0]
 
 
 def _phi_series(z, order):
@@ -218,14 +228,22 @@ class _EtdRk4:
         self.f3 = dt * (4.0 * p3 - p2)
 
     def advance(self, z, nonlin):
+        # no product writes over its input: numpy's in-place complex
+        # product can round differently, while sums are exact in place
+        t = np.empty_like(z)
+        ez = self.e_half * z
         n0, aux = nonlin(z)
-        a = self.e_half * z + self.q * n0
+        a = ez + np.multiply(self.q, n0, out=t)
         n1, _ = nonlin(a)
-        b = self.e_half * z + self.q * n1
+        b = ez + np.multiply(self.q, n1, out=t)
         n2, _ = nonlin(b)
-        cc = self.e_half * a + self.q * (2.0 * n2 - n0)
-        n3, _ = nonlin(cc)
-        out = self.e_full * z + self.f1 * n0 + self.f2 * (n1 + n2) + self.f3 * n3
+        c = np.multiply(self.e_half, a, out=ez)  # + q*(2*n2 - n0)
+        c += np.multiply(self.q, np.subtract(2.0 * n2, n0, out=b), out=t)
+        n3, _ = nonlin(c)
+        out = self.e_full * z
+        out += np.multiply(self.f1, n0, out=t)
+        out += np.multiply(self.f2, np.add(n1, n2, out=b), out=t)
+        out += np.multiply(self.f3, n3, out=t)
         return out, aux
 
 
@@ -255,15 +273,9 @@ class _Imex2:
 
 
 def make_stepper(ws: _Workspace, config: StepperConfig):
-    lin = np.concatenate([ws.lin, [0.0]])  # x0 carries no linear part
+    lin = np.append(ws.lin[: ws.modes], 0.0)  # x0 carries no linear part
     cls = _EtdRk4 if config.scheme == "etdrk4" else _Imex2
-    stepper = cls(lin, config.dt)
-
-    def nonlin(z):
-        payload, x0_dot = ws.nonlinear_hat(z[:-1])
-        return np.concatenate([payload, [x0_dot]]), x0_dot
-
-    return stepper, nonlin
+    return cls(lin, config.dt), ws.nonlinear_hat
 
 
 @dataclass
@@ -363,7 +375,7 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
 
         mag = np.abs(z[:-1])
         l2sq = ws.l2sq(mag)
-        if not np.isfinite(l2sq):
+        if not math.isfinite(l2sq):
             abort = "non-finite solution"
             break
         if l2sq - prev_l2sq > 1e-10 * prev_l2sq + l2sq_floor:

@@ -9,7 +9,9 @@ import numpy as np
 
 from frontlab import (Field, apply_multiplier, band_project,
                       kernel_positivity_check, lp_norm, make_grid)
-from frontlab.spectral import dealias_mask
+from frontlab.diagnostics import NormSeries
+from frontlab.evolution import _EtdRk4, _Imex2
+from frontlab.spectral import dealias_mask, weighted_l2
 
 GRID = make_grid(1024, 80.0)
 
@@ -123,3 +125,129 @@ PROPERTY_SUITES = {
     "kernel_positivity": kernel_trial,
     "hermitian_real_output": hermitian_real_output_trial,
 }
+
+
+# ---------------------------------------------------------------------------
+# Slow paths kept as oracles for the fast ones in src/
+
+
+class HalfSpectrumWorkspace:
+    """The stepper's tendency on the whole real-FFT half spectrum, modes
+    0..n/2, with the two-thirds rule applied as a mask and a fresh array
+    for every product: the slow path that `evolution._Workspace`, which
+    stores only the retained modes, must match bit for bit."""
+
+    def __init__(self, front, spec, gamma, dealias, disable=()):
+        grid = front.grid
+        n = grid.n
+        k = grid.k[: n // 2 + 1]
+        self.n, self.gamma, self.h, self.k = n, gamma, grid.h, k
+        self.mask = dealias_mask(n)[: k.size] if dealias else np.ones(k.size, bool)
+        self.ik = np.where(self.mask, grid.ik[: k.size], 0.0)
+        self.weight = np.full(k.size, 2.0)
+        self.weight[0] = 1.0
+        if n % 2 == 0:
+            self.weight[-1] = 1.0
+        self.lin = -k ** 2 + spec.values(k)
+        self.dphi = front.phi_prime.values
+        self.dphi_hat = np.where(self.mask, np.fft.rfft(self.dphi), 0.0)
+        self.phi_flux = np.zeros(n) if "front" in disable else front.phi.values
+        self.quad = 0.0 if "nonlinear" in disable else 0.5
+        self.modulation = "modulation" not in disable
+
+    def augment(self, values):
+        return np.concatenate([np.where(self.mask, np.fft.rfft(values), 0.0), [0.0]])
+
+    def l2sq(self, mag):
+        return self.h / self.n * float(self.weight @ (mag * mag))
+
+    def nonlinear_hat(self, vhat):
+        v = np.fft.irfft(vhat, self.n)
+        x0_dot = -self.gamma * self.h * float(self.dphi @ v) if self.modulation else 0.0
+        flux_hat = np.fft.rfft((self.phi_flux + self.quad * v) * v)
+        return self.ik * (x0_dot * vhat - flux_hat) + x0_dot * self.dphi_hat, x0_dot
+
+    def nonlin(self, z):
+        payload, x0_dot = self.nonlinear_hat(z[:-1])
+        return np.concatenate([payload, [x0_dot]]), x0_dot
+
+
+def half_spectrum_advance(stepper, z, nonlin):
+    """One ETDRK4 or IMEX2 step with fresh arrays for every product and
+    sum, on the coefficients of an `evolution` stepper."""
+    if stepper.order == 4:
+        e_half, q = stepper.e_half, stepper.q
+        n0, aux = nonlin(z)
+        a = e_half * z + q * n0
+        n1, _ = nonlin(a)
+        b = e_half * z + q * n1
+        n2, _ = nonlin(b)
+        cc = e_half * a + q * (2.0 * n2 - n0)
+        n3, _ = nonlin(cc)
+        return (stepper.e_full * z + stepper.f1 * n0 + stepper.f2 * (n1 + n2)
+                + stepper.f3 * n3), aux
+    dt, g, d = stepper.dt, stepper.g, stepper.delta
+    n0, aux = nonlin(z)
+    u1 = stepper.solve * (z + dt * g * n0)
+    n1, _ = nonlin(u1)
+    return stepper.solve * (z + dt * (d * n0 + (1.0 - d) * n1)
+                            + dt * (1.0 - g) * stepper.lin * u1), aux
+
+
+def half_spectrum_evolve(v0, front, spec, config, disable=()):
+    """`evolve`'s records (series, snapshots, x0_final) from a loop over
+    the half-spectrum oracle, without its audits and guards; also the
+    largest modulus the state ever holds on the masked modes."""
+    ws = HalfSpectrumWorkspace(front, spec, config.gamma, config.dealias, disable)
+    scheme = _EtdRk4 if config.scheme == "etdrk4" else _Imex2
+    stepper = scheme(np.concatenate([ws.lin, [0.0]]), config.dt)
+    z = ws.augment(v0.values)
+    series = NormSeries(p_list=config.p_list)
+    snapshots, masked_peak = [], 0.0
+
+    def record(t, x0, x0_dot):
+        f = Field(v0.grid, np.fft.irfft(z[:-1], ws.n))
+        dv = np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1])))
+        series.append(t, x0, x0_dot, lp_norm(f, 1), lp_norm(f, 2),
+                      lp_norm(f, np.inf), [lp_norm(f, p) for p in config.p_list],
+                      dv, weighted_l2(f))
+        return f
+
+    f = record(0.0, 0.0, 0.0)
+    if config.snapshot_every:
+        snapshots.append((0.0, f))
+    nsteps = int(round(config.t_end / config.dt))
+    for istep in range(1, nsteps + 1):
+        z, x0_dot = half_spectrum_advance(stepper, z, ws.nonlin)
+        masked_peak = max(masked_peak, float(np.max(np.abs(z[:-1][~ws.mask]),
+                                                    initial=0.0)))
+        if istep % config.record_every == 0 or istep == nsteps:
+            f = record(istep * config.dt, float(z[-1].real), x0_dot)
+            if config.snapshot_every and istep % config.snapshot_every == 0:
+                snapshots.append((istep * config.dt, f))
+    return series, snapshots, series.x0[-1], masked_peak
+
+
+def sturm_count_numpy_scalars(diag, offdiag, shift):
+    """`certify.count_below` with the recurrence on numpy scalars."""
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    scale = float(np.max(np.abs(diag))) + float(np.max(np.abs(offdiag), initial=0.0))
+    for attempt in range(3):
+        count = 0
+        pivot_ok = True
+        d = diag[0] - shift
+        if d == 0.0 or abs(d) < 1e-300 * scale:
+            pivot_ok = False
+        else:
+            count += d < 0.0
+            for i in range(1, diag.size):
+                d = diag[i] - shift - offdiag[i - 1] ** 2 / d
+                if d == 0.0:
+                    pivot_ok = False
+                    break
+                count += d < 0.0
+        if pivot_ok:
+            return int(count)
+        shift -= 1e-13 * max(scale, 1.0)
+    return None  # pivot breakdown

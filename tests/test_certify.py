@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from frontlab.certify import ZERO_EIGENVALUE_TOL, CertificationError, \
     count_below
 from frontlab.fronts import ref_d1, ref_profile
 from frontlab.spectral import Field
+
+from checks import sturm_count_numpy_scalars
 
 
 def poschl_teller_disc(v0, eps=0.0, m=4000, half_width=40.0):
@@ -59,6 +62,47 @@ def test_count_below_shifts():
     off = np.zeros(2)
     assert count_below(diag, off, 2.5) == 2
     assert count_below(diag, off, 0.5) == 0
+
+
+def sturm_cases(rng):
+    """(diag, offdiag, shifts) triples for the pivot-recurrence oracle."""
+    for _ in range(60):  # random scales, shifts on eigenvalues
+        m = int(rng.integers(2, 300))
+        diag = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3)
+        off = rng.standard_normal(m - 1) * 10.0 ** rng.uniform(-3, 3)
+        eig = eigh_tridiagonal(diag, off, eigvals_only=True)
+        # a shift at diag[0] makes the first pivot exactly 0: the retry path
+        yield diag, off, [0.0, float(rng.choice(eig)), eig[0], eig[-1], diag[0]]
+    for _ in range(60):  # small integers: exact zero pivots mid-recurrence
+        m = int(rng.integers(2, 12))
+        diag = rng.integers(-2, 3, m).astype(float)
+        off = rng.integers(-1, 2, m - 1).astype(float)
+        yield diag, off, [0.0, 1.0, -1.0, diag[0]]
+    for big in (1e155, 3e200, 1e300):  # numpy's b**2 is inf, Python's raises
+        m = int(rng.integers(3, 60))
+        diag = rng.standard_normal(m)
+        off = rng.standard_normal(m - 1)
+        yield diag, big * off, [0.0, -big]
+        off[rng.integers(0, m - 1)] = big
+        yield diag, off, [0.0, 0.5, diag[0]]
+
+
+def test_count_below_matches_numpy_scalar_recurrence():
+    """Pivots on Python floats are the numpy-scalar pivots: equal counts,
+    and equal breakdowns, on every case."""
+    cases = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+        for diag, off, shifts in sturm_cases(np.random.default_rng(12)):
+            for shift in shifts:
+                want = sturm_count_numpy_scalars(diag, off, shift)
+                if want is None:
+                    with pytest.raises(CertificationError):
+                        count_below(diag, off, shift)
+                else:
+                    assert count_below(diag, off, shift) == want
+                cases += 1
+    assert cases == 60 * 5 + 60 * 4 + 3 * (3 + 2)
 
 
 def test_zero_pivot_perturbation():

@@ -13,6 +13,8 @@ from frontlab.evolution import _Workspace, make_stepper
 from frontlab.fronts import reference_front
 from frontlab.spectral import dealias_mask, trig_interpolate
 
+from checks import HalfSpectrumWorkspace, half_spectrum_evolve, random_field
+
 
 def quiet_evolve(*args, **kwargs):
     with warnings.catch_warnings():
@@ -69,7 +71,7 @@ def test_rhs_frechet_linearization(grid_std, burgers_front):
 
 def reference_nonlinear_hat(front, gamma, vhat, disable=()):
     """Complex-spectrum payload from five full FFTs per call, term by term:
-    the oracle for the half-spectrum path of _Workspace.nonlinear_hat."""
+    the oracle for the retained-modes path of _Workspace.nonlinear_hat."""
     grid = front.grid
     ik = 1j * grid.k
     ik[grid.n // 2] = 0.0
@@ -91,36 +93,57 @@ def reference_nonlinear_hat(front, gamma, vhat, disable=()):
 
 
 TERMS = ("front", "nonlinear", "modulation")
+DISABLE_SETS = [tuple(t for t, off in zip(TERMS, bits) if off)
+                for bits in itertools.product((0, 1), repeat=3)]
 
 
-@pytest.mark.parametrize("disable", [tuple(t for t, off in zip(TERMS, bits) if off)
-                                     for bits in itertools.product((0, 1), repeat=3)])
+@pytest.mark.parametrize("disable", DISABLE_SETS)
 def test_half_spectrum_payload_matches_complex_oracle(grid_std, kdvb_front, disable):
     spec = preset("kdvb", nu=-6.0 / 25.0)
     ws = _Workspace(kdvb_front, spec, 1.1, True, disable)
-    m = grid_std.n // 2 + 1
+    half = HalfSpectrumWorkspace(kdvb_front, spec, 1.1, True, disable)
+    n, m = grid_std.n, ws.modes
+    assert m == n // 3 + 1
     for kind in ("gaussian", "odd_gaussian_derivative", "random_bandlimited"):
         v = make_perturbation(kind, 0.8, 1.5, grid_std, seed=7).values
         vhat = np.fft.fft(v)
-        vhat[~dealias_mask(grid_std.n)] = 0.0
+        vhat[~dealias_mask(n)] = 0.0
         want, want_dot = reference_nonlinear_hat(kdvb_front, 1.1, vhat, disable)
-        got, got_dot = ws.nonlinear_hat(ws.augment(np.fft.ifft(vhat).real)[:-1])
+        got, got_dot = ws.nonlinear_hat(ws.augment(np.fft.ifft(vhat).real))
+        # the oracles' modes past the retained ones are exactly 0
+        assert not np.any(want[m:n - m + 1])
+        payload, _ = half.nonlinear_hat(half.augment(np.fft.ifft(vhat).real)[:-1])
+        assert not np.any(payload[m:])
+        assert np.array_equal(got[:-1], payload[:m])
+        assert got.shape == (m + 1,) and got[-1] == got_dot
         scale = max(np.max(np.abs(want)), 1e-300)
-        assert np.max(np.abs(got - want[:m])) <= 1e-13 * scale
+        assert np.max(np.abs(got[:-1] - want[:m])) <= 1e-13 * scale
         assert abs(got_dot - want_dot) <= 1e-13 * max(abs(want_dot), 1e-300)
         if "modulation" in disable:
             assert got_dot == 0.0
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "odd_gaussian_derivative",
-                                  "odd_sine_packet", "random_bandlimited"])
+                                  "odd_sine_packet", "random_bandlimited", "white"])
 def test_half_spectrum_norms(grid_std, burgers_front, kind):
-    """Parseval l2 equals the rectangle rule; the sup bound is a bound."""
-    ws = _Workspace(burgers_front, preset("burgers"), 1.1, True)
-    f = make_perturbation(kind, 0.7, 1.2, grid_std, seed=3)
-    mag = np.abs(np.fft.rfft(f.values))
-    assert np.sqrt(ws.l2sq(mag)) == pytest.approx(lp_norm(f, 2), rel=1e-13)
-    assert ws.sup_bound(mag) >= np.max(np.abs(f.values))
+    """Parseval l2 on the retained modes equals the rectangle rule, bit
+    for bit the half-spectrum sum; the sup bound is a bound.  'white'
+    puts O(1) weight on the top retained modes, where a sum over the
+    retained modes alone would round differently."""
+    if kind == "white":
+        values = random_field(np.random.default_rng(3)).values
+    else:
+        values = make_perturbation(kind, 0.7, 1.2, grid_std, seed=3).values
+    for dealias in (True, False):
+        ws = _Workspace(burgers_front, preset("burgers"), 1.1, dealias)
+        half = HalfSpectrumWorkspace(burgers_front, preset("burgers"), 1.1, dealias)
+        fhat = half.augment(values)[:-1]
+        f = Field(grid_std, np.fft.irfft(fhat, grid_std.n))
+        mag = np.abs(fhat)
+        assert not np.any(mag[ws.modes:])
+        assert ws.l2sq(mag[:ws.modes]) == half.l2sq(mag)
+        assert np.sqrt(ws.l2sq(mag[:ws.modes])) == pytest.approx(lp_norm(f, 2), rel=1e-13)
+        assert ws.sup_bound(mag[:ws.modes]) >= np.max(np.abs(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +190,10 @@ def final_state_norm_free(front, spec, v0, dt, t_end, scheme):
     cfg = StepperConfig(dt=dt, t_end=t_end, scheme=scheme)
     ws = _Workspace(front, spec, cfg.gamma, cfg.dealias)
     stepper, nonlin = make_stepper(ws, cfg)
-    n = front.grid.n
-    z = np.concatenate([np.fft.rfft(v0.values), [0.0 + 0.0j]])
-    z[:-1][~ws.mask] = 0.0
+    z = ws.augment(v0.values)
     for _ in range(int(round(t_end / dt))):
         z, _ = stepper.advance(z, nonlin)
-    return np.fft.irfft(z[:-1], n)
+    return np.fft.irfft(z[:-1], front.grid.n)
 
 
 @pytest.mark.parametrize("scheme,expected", [("etdrk4", 16.0), ("imex2", 4.0)])
@@ -185,6 +206,35 @@ def test_temporal_convergence_order(grid_std, burgers_front, scheme, expected):
     e2 = np.max(np.abs(final_state_norm_free(burgers_front, spec, v0,
                                              0.00125, 0.5, scheme) - ref))
     assert e1 / e2 == pytest.approx(expected, rel=0.25)
+
+
+@pytest.mark.parametrize("disable", DISABLE_SETS)
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("scheme", ["etdrk4", "imex2"])
+def test_evolve_bitwise_equals_half_spectrum_oracle(grid_std, kdvb_front, scheme,
+                                                    dealias, disable):
+    """Stepping on the retained modes only, with the stage products in
+    buffers, changes no bit of the series, the snapshots or x0 against a
+    loop over the whole half spectrum with fresh arrays; the oracle's
+    state on the discarded modes stays exactly 0.  The noise keeps the
+    top retained modes well above roundoff."""
+    spec = preset("kdvb", nu=-6.0 / 25.0)
+    v0 = make_perturbation("random_bandlimited", 0.8, 1.3, grid_std, seed=5)
+    v0 = Field(grid_std, v0.values + 0.01 * random_field(np.random.default_rng(5)).values)
+    cfg = StepperConfig(dt=0.01, t_end=0.5, scheme=scheme, dealias=dealias,
+                        record_every=5, snapshot_every=10)
+    traj = quiet_evolve(v0, kdvb_front, spec, cfg, disable=disable)
+    series, snapshots, x0_final, masked_peak = half_spectrum_evolve(
+        v0, kdvb_front, spec, cfg, disable)
+    got, want = traj.series.columns(), series.columns()
+    assert list(got) == list(want) and len(want["t"]) == 11
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    assert [t for t, _ in traj.snapshots] == [t for t, _ in snapshots]
+    for (_, mine), (_, theirs) in zip(traj.snapshots, snapshots):
+        assert np.array_equal(mine.values, theirs.values)
+    assert traj.x0_final == x0_final
+    assert masked_peak == 0.0
 
 
 def test_cfl_guard(grid_std, burgers_front):
@@ -211,7 +261,9 @@ def test_cfl_guard_skipped_without_nonlinear_term():
                         disable=("front", "nonlinear", "modulation"))
     t_end, v_end = traj.snapshots[-1]
     assert t_end == pytest.approx(0.5) and not traj.aborted
-    want = np.exp(t_end * ws.lin) * ws.augment(v0.values)[:-1]
+    # every mode of the heat flow, the discarded ones at exactly 0
+    want = np.zeros(grid.n // 2 + 1, complex)
+    want[: ws.modes] = np.exp(t_end * ws.lin[: ws.modes]) * ws.augment(v0.values)[:-1]
     got = np.fft.rfft(v_end.values)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
