@@ -9,8 +9,7 @@ eigenvalues below the shift.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,6 +124,7 @@ class SpectralCertificate:
     `satisfied` records whether some eps in (0,1) gives exactly one
     negative eigenvalue; eps = 0 is evaluated for reference only.  Counts
     treat eigenvalues within 1e-10 of zero as nonnegative and flag them.
+    `m` is the coarser lattice of the Richardson pair that gave them.
     """
 
     operator: str
@@ -139,17 +139,6 @@ class SpectralCertificate:
     near_zero_flags: tuple
     front_residual: float = float("nan")
 
-    def to_json(self) -> str:
-        from .runio import to_json  # runio imports this module
-        return to_json(asdict(self))
-
-    @staticmethod
-    def from_json(text: str) -> "SpectralCertificate":
-        raw = json.loads(text)
-        for key in ("eps_samples", "counts", "near_zero_flags"):
-            raw[key] = tuple(raw[key])
-        return SpectralCertificate(**raw)
-
 
 def _inertia(v_nodes: np.ndarray, eps: float, h: float) -> tuple[int, bool]:
     """Count below -tol and whether an eigenvalue lies within tol of zero."""
@@ -159,15 +148,25 @@ def _inertia(v_nodes: np.ndarray, eps: float, h: float) -> tuple[int, bool]:
     return count, upper != count
 
 
+def _counts(front: FrontProfile, m: int, half_width: float, eps_all):
+    """(counts, near-zero flags) over eps_all on the m-point lattice."""
+    h, nodes = _lattice(m, half_width)
+    # potential values are eps-independent: one transform per lattice
+    v = 0.5 * front.phi_prime_on_lattice(nodes, h)
+    return tuple(zip(*(_inertia(v, eps, h) for eps in eps_all)))
+
+
 def certify_front(front: FrontProfile,
                   eps_samples: Sequence[float] = DEFAULT_EPS_SAMPLES,
                   m: int = 2000,
                   half_width: float | None = None,
                   strict: bool = True) -> SpectralCertificate:
-    """Counts for each eps, with one Richardson refinement (m vs 2m).
-
-    A refinement disagreement marks the certificate unresolved, which
-    raises in strict mode.
+    """Counts for each eps, with Richardson refinement on lattices of m
+    and 2m points.  Where their counts differ at some eps, the 4m lattice
+    is counted too and the pair (2m, 4m) replaces them, with `m` recording
+    2m.  Counts come from the finer lattice of the pair and a near-zero
+    flag from either; a pair that still disagrees marks the certificate
+    unresolved, which raises in strict mode.
     """
     for eps in eps_samples:
         if not 0.0 < eps < 1.0:
@@ -175,39 +174,29 @@ def certify_front(front: FrontProfile,
     if half_width is None:
         half_width = 0.45 * front.grid.length
 
-    h1, nodes1 = _lattice(m, half_width)
-    h2, nodes2 = _lattice(2 * m, half_width)
-    # potential values are eps-independent: one transform per lattice
-    v1 = 0.5 * front.phi_prime_on_lattice(nodes1, h1)
-    v2 = 0.5 * front.phi_prime_on_lattice(nodes2, h2)
-
     eps_all = (0.0,) + tuple(float(e) for e in eps_samples)
-    counts, flags, agree = [], [], True
-    for eps in eps_all:
-        c1, f1 = _inertia(v1, eps, h1)
-        c2, f2 = _inertia(v2, eps, h2)
-        counts.append(c2)
-        flags.append(f1 or f2)
-        agree = agree and (c1 == c2)
-    if strict and not agree:
-        raise CertificationError(
-            "unresolved eigenvalue counts: m and 2m discretizations disagree"
-        )
-
-    positive = [(e, c) for e, c in zip(eps_all, counts) if e > 0.0]
+    (c1, f1), (c2, f2) = (_counts(front, k * m, half_width, eps_all)
+                          for k in (1, 2))
+    if c1 != c2:
+        m, c1, f1 = 2 * m, c2, f2
+        c2, f2 = _counts(front, 2 * m, half_width, eps_all)
+    if strict and c1 != c2:
+        raise CertificationError(f"unresolved eigenvalue counts: the {m} "
+                                 f"and {2 * m} point lattices disagree")
+    positive = [(e, c) for e, c in zip(eps_all, c2) if e > 0.0]
     min_count = min(c for _, c in positive)
     argmin = next(e for e, c in positive if c == min_count)
     return SpectralCertificate(
         operator=front.operator.label,
         eps_samples=eps_all,
-        counts=tuple(counts),
+        counts=c2,
         satisfied=any(c == 1 for _, c in positive),
         min_count=min_count,
         argmin_eps=argmin,
         m=m,
         half_width=float(half_width),
-        richardson_ok=agree,
-        near_zero_flags=tuple(flags),
+        richardson_ok=c1 == c2,
+        near_zero_flags=tuple(a or b for a, b in zip(f1, f2)),
         front_residual=front.residual_sup,
     )
 

@@ -318,11 +318,7 @@ def cmd_rates(args) -> int:
 
 def _parse_p(text: str):
     text = text.strip()
-    if text == "derivative":
-        return "derivative"
-    if text in ("inf", "oo"):
-        return np.inf
-    return float(text)
+    return text if text == "derivative" else float(text)
 
 
 def _simulate_worker(snapshot: dict) -> tuple[str, int, dict, str]:

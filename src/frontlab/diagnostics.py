@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .spectral import Field, band_project, lp_norm
+from .spectral import Field, band_project, lp_norm, weighted_l2
 
 __all__ = [
     "NormSeries",
@@ -30,65 +30,58 @@ __all__ = [
 class NormSeries:
     """Per-time records of a perturbation run.
 
-    Each record holds the time, the translation x0 and its speed, the
-    norms ||v||_p for p = 1, 2, inf and the configured p list, ||v'||_2,
-    the |x|-weighted L2 norm and the running sup of ||v||_inf; `columns`
-    names them in file order.
+    `data` maps each series.csv column to its values, in file order: t,
+    x0, x0_dot, l1, l2, linf (||v||_p for p = 1, 2, inf), lp_<p:g> for
+    each p of `p_list`, dv_l2 (||v'||_2), weighted (the |x|-weighted L2
+    norm) and m_sup (the running sup of linf).  Columns whose names are
+    identifiers read as attributes too: `series.l2`.
     """
 
     p_list: tuple = ()
-    t: list = field(default_factory=list)
-    x0: list = field(default_factory=list)
-    x0_dot: list = field(default_factory=list)
-    l1: list = field(default_factory=list)
-    l2: list = field(default_factory=list)
-    linf: list = field(default_factory=list)
-    lp: dict = field(default_factory=dict)
-    dv_l2: list = field(default_factory=list)
-    weighted: list = field(default_factory=list)
-    m_sup: list = field(default_factory=list)
+    data: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.p_list = tuple(float(p) for p in self.p_list)
-        for p in self.p_list:
-            self.lp.setdefault(p, [])
-
-    def append(self, t, x0, x0_dot, l1, l2, linf, lp_values, dv_l2, weighted):
-        if self.t and t <= self.t[-1]:
+        if not all(p >= 1.0 for p in self.p_list):
+            raise ValueError(f"p must be >= 1 or inf (got {self.p_list})")
+        names = ["t", "x0", "x0_dot", "l1", "l2", "linf",
+                 *(f"lp_{p:g}" for p in self.p_list), "dv_l2", "weighted", "m_sup"]
+        if len(set(names)) != len(names):
+            raise ValueError(f"p list {self.p_list} names a column twice")
+        self.data = self.data or {name: [] for name in names}
+        if list(self.data) != names:
+            raise ValueError(f"series columns {list(self.data)}, expected {names}")
+        if any(b <= a for a, b in zip(self.t, self.t[1:])):
             raise ValueError("times must be strictly increasing")
-        self.t.append(float(t))
-        self.x0.append(float(x0))
-        self.x0_dot.append(float(x0_dot))
-        self.l1.append(float(l1))
-        self.l2.append(float(l2))
-        self.linf.append(float(linf))
-        for p, v in zip(self.p_list, lp_values):
-            self.lp[p].append(float(v))
-        self.dv_l2.append(float(dv_l2))
-        self.weighted.append(float(weighted))
-        running = self.m_sup[-1] if self.m_sup else 0.0
-        self.m_sup.append(max(running, float(linf)))
 
-    def columns(self) -> dict:
-        """The records by column name, in file order (lp_<p> is ||v||_p)."""
-        return {"t": self.t, "x0": self.x0, "x0_dot": self.x0_dot,
-                "l1": self.l1, "l2": self.l2, "linf": self.linf,
-                **{f"lp_{p:g}": self.lp[p] for p in self.p_list},
-                "dv_l2": self.dv_l2, "weighted": self.weighted,
-                "m_sup": self.m_sup}
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["data"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def append(self, t, x0, x0_dot, v: Field, dv_l2):
+        """Record the norms of the field v at time t."""
+        linf = lp_norm(v, np.inf)
+        row = (t, x0, x0_dot, lp_norm(v, 1), lp_norm(v, 2), linf,
+               *(lp_norm(v, p) for p in self.p_list), dv_l2, weighted_l2(v),
+               max(self.m_sup[-1] if self.m_sup else 0.0, linf))
+        for values, value in zip(self.data.values(), row):
+            values.append(float(value))
 
     def column(self, name: str) -> np.ndarray:
-        if name.startswith("lp:"):
-            return np.asarray(self.lp[float(name[3:])])
-        return np.asarray(getattr(self, name), dtype=float)
+        return np.asarray(self.data[name], dtype=float)
 
     def norm(self, p) -> np.ndarray:
         """The recorded norm for exponent p: 'derivative' (||v'||_2), 1, 2,
-        inf, or a configured lp column."""
+        inf, or a p of `p_list`."""
         if p == "derivative":
             return self.column("dv_l2")
         p = float(p)
-        return self.column({1.0: "l1", 2.0: "l2", np.inf: "linf"}.get(p, f"lp:{p}"))
+        name = {1.0: "l1", 2.0: "l2", np.inf: "linf"}.get(p, f"lp_{p:g}")
+        if name not in self.data:
+            raise ValueError(f"the series has no column {name} for p = {p:g}")
+        return self.column(name)
 
     def __len__(self):
         return len(self.t)

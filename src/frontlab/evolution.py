@@ -77,6 +77,7 @@ class StepperConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.gamma <= 1.0:
             raise ValueError("modulation gain must exceed 1 for endpoints (1,-1)")
+        NormSeries(self.p_list)  # rejects a p < 1 or two p with one column
         # on evolve's step grid a snapshot must fall on a record, t_end on a step
         if self.record_every < 1 or self.snapshot_every % self.record_every:
             raise ValueError("record_every must be >= 1 and divide snapshot_every "
@@ -335,10 +336,7 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
 
     def record(t, x0, x0_dot):
         f = Field(grid, np.fft.irfft(z[:-1], ws.n))
-        dv = np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1])))
-        lp_vals = [lp_norm(f, p) for p in config.p_list]
-        series.append(t, x0, x0_dot, lp_norm(f, 1), lp_norm(f, 2),
-                      lp_norm(f, np.inf), lp_vals, dv, weighted_l2(f))
+        series.append(t, x0, x0_dot, f, np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1]))))
         if on_record is not None:
             on_record(t, f, series)
         return f

@@ -17,9 +17,12 @@ options, and identical inputs give byte-identical files.
   raises TypeError.
 
 `RunWriter` writes a run directory: config.snapshot, profile.csv/.json,
-certificate.json, series.csv (the `NormSeries.columns`), fields/t_<stamp>.csv
-and meta.json; `frontlab rates` adds verdicts.csv.  A sweep directory holds
-one run directory per value and summary.csv.
+certificate.json (the `SpectralCertificate` fields), series.csv,
+fields/t_<stamp>.csv and meta.json; `frontlab rates` adds verdicts.csv.
+series.csv holds `NormSeries.data`, whose keys are its header: t, x0,
+x0_dot, l1, l2, linf, lp_<p:g> for each p of the run's p list, dv_l2,
+weighted, m_sup.  A sweep directory holds one run directory per value
+and summary.csv.
 """
 
 from __future__ import annotations
@@ -156,7 +159,10 @@ def write_certificate(path, cert: SpectralCertificate):
 
 
 def read_certificate(path) -> SpectralCertificate:
-    return SpectralCertificate.from_json(Path(path).read_text())
+    raw = read_json(path)
+    for key in ("eps_samples", "counts", "near_zero_flags"):
+        raw[key] = tuple(raw[key])
+    return SpectralCertificate(**raw)
 
 
 def write_sweep_csv(path, rows):
@@ -167,20 +173,19 @@ def write_sweep_csv(path, rows):
 
 
 def write_series_csv(path, series: NormSeries):
-    columns = series.columns()
-    write_table(path, list(columns), zip(*columns.values()))
+    write_table(path, list(series.data), zip(*series.data.values()))
 
 
 def read_series_csv(path) -> NormSeries:
+    """The series of a series.csv, each column by its header name."""
     header, rows = read_table(path)
-    series = NormSeries(p_list=[float(name[3:]) for name in header
-                                if name.startswith("lp_")])
-    if header != list(series.columns()):
-        raise ValueError(f"{path}: unexpected series columns {header}")
-    k = len(series.p_list)
-    for v in _float_rows(rows).tolist():
-        series.append(*v[:6], v[6:6 + k], *v[6 + k:8 + k])  # m_sup is derived
-    return series
+    columns = _float_rows(rows).T.tolist() if rows else [[] for _ in header]
+    try:
+        return NormSeries(p_list=[float(name[3:]) for name in header
+                                  if name.startswith("lp_")],
+                          data=dict(zip(header, columns)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class RunWriter:

@@ -202,15 +202,16 @@ def half_spectrum_evolve(v0, front, spec, config, disable=()):
     scheme = _EtdRk4 if config.scheme == "etdrk4" else _Imex2
     stepper = scheme(np.concatenate([ws.lin, [0.0]]), config.dt)
     z = ws.augment(v0.values)
-    series = NormSeries(p_list=config.p_list)
-    snapshots, masked_peak = [], 0.0
+    rows, snapshots, masked_peak = [], [], 0.0
 
     def record(t, x0, x0_dot):
         f = Field(v0.grid, np.fft.irfft(z[:-1], ws.n))
         dv = np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1])))
-        series.append(t, x0, x0_dot, lp_norm(f, 1), lp_norm(f, 2),
-                      lp_norm(f, np.inf), [lp_norm(f, p) for p in config.p_list],
-                      dv, weighted_l2(f))
+        linf = lp_norm(f, np.inf)
+        m_sup = max(rows[-1][-1] if rows else 0.0, linf)
+        rows.append([float(v) for v in (
+            t, x0, x0_dot, lp_norm(f, 1), lp_norm(f, 2), linf,
+            *[lp_norm(f, p) for p in config.p_list], dv, weighted_l2(f), m_sup)])
         return f
 
     f = record(0.0, 0.0, 0.0)
@@ -225,6 +226,9 @@ def half_spectrum_evolve(v0, front, spec, config, disable=()):
             f = record(istep * config.dt, float(z[-1].real), x0_dot)
             if config.snapshot_every and istep % config.snapshot_every == 0:
                 snapshots.append((istep * config.dt, f))
+    names = ["t", "x0", "x0_dot", "l1", "l2", "linf",
+             *[f"lp_{p:g}" for p in config.p_list], "dv_l2", "weighted", "m_sup"]
+    series = NormSeries(config.p_list, dict(zip(names, map(list, zip(*rows)))))
     return series, snapshots, series.x0[-1], masked_peak
 
 

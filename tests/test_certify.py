@@ -12,6 +12,7 @@ from frontlab import certify_front, closed_form_burgers, \
 from frontlab.certify import ZERO_EIGENVALUE_TOL, CertificationError, \
     count_below
 from frontlab.fronts import ref_d1, ref_profile
+from frontlab.runio import read_certificate, write_certificate
 from frontlab.spectral import Field
 
 from checks import sturm_count_numpy_scalars
@@ -156,6 +157,32 @@ def test_certificate_matches_dense_interpolation(
     assert burgers_cert.richardson_ok == (counts[burgers_cert.m] == counts[fine])
 
 
+@pytest.mark.slow
+def test_sweep_rows_resolved_on_the_4m_lattice():
+    """At these nu the m = 1500 and 3000 lattices count differently at
+    some eps, and the 3000 and 6000 lattices agree."""
+    rows, threshold = sweep_nu([2.7945, 3.966], m=1500, points=4096)
+    assert [(r.satisfied, r.error) for r in rows] == [(True, "")] * 2
+    assert threshold == 3.966
+
+
+def test_refinement_keeps_the_finer_pair(burgers_front, monkeypatch):
+    """Counts that differ between m and 2m are settled by 2m and 4m; a
+    pair that still disagrees raises in strict mode."""
+    m = 400
+    monkeypatch.setattr("frontlab.certify._inertia",
+                        lambda v, eps, h: (2 if v.size == m else 1, False))
+    cert = certify_front(burgers_front, m=m)
+    assert (cert.m, cert.richardson_ok, cert.min_count) == (2 * m, True, 1)
+
+    monkeypatch.setattr("frontlab.certify._inertia",
+                        lambda v, eps, h: (v.size // m, False))
+    with pytest.raises(CertificationError, match="800 and 1600"):
+        certify_front(burgers_front, m=m)
+    cert = certify_front(burgers_front, m=m, strict=False)
+    assert (cert.m, cert.richardson_ok, cert.counts[0]) == (2 * m, False, 4)
+
+
 def _collocation_counts(phi_prime, length, eps_values, gap):
     """Negative-eigenvalue counts of the dense Fourier-collocation matrix
     of -(1-eps) d^2/dx^2 + phi'/2 on a periodic grid, at each eps whose
@@ -229,18 +256,13 @@ def test_certificate_eps_validation(burgers_front):
         certify_front(burgers_front, eps_samples=(1.2,))
 
 
-def test_certificate_json_round_trip(burgers_cert):
-    from frontlab.certify import SpectralCertificate
-    again = SpectralCertificate.from_json(burgers_cert.to_json())
-    assert again == burgers_cert
-
-
-def test_certificate_json_flags_are_booleans(burgers_cert):
+def test_certificate_json_flags_are_booleans(tmp_path, burgers_cert):
     """richardson_ok is stored as a JSON boolean and read back as a bool."""
-    from frontlab.certify import SpectralCertificate
-    text = burgers_cert.to_json()
-    assert json.loads(text)["richardson_ok"] is True
-    assert SpectralCertificate.from_json(text).richardson_ok is True
+    path = tmp_path / "cert.json"
+    write_certificate(path, burgers_cert)
+    assert json.loads(path.read_text())["richardson_ok"] is True
+    again = read_certificate(path)
+    assert again == burgers_cert and again.richardson_ok is True
 
 
 def test_reflection_symmetry_of_counts():

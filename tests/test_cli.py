@@ -253,6 +253,19 @@ def test_rates_idempotent_verdicts(tmp_path):
     assert (out / "verdicts.csv").read_bytes() == first
 
 
+def test_rates_p_list(tmp_path, capsys):
+    """--p-list reads inf; a p the series has no column for is an input
+    error."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "run_p"
+    run_cli(["simulate", "--config", str(cfg), "--out", str(out)])
+    capsys.readouterr()
+    assert run_cli(["rates", "--run", str(out), "--p-list", "2,inf"]) == 0
+    assert run_cli(["rates", "--run", str(out), "--p-list", "3.7"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_instability_exit_code(tmp_path):
     # amplitude far past the advective step limit trips the guard
     cfg_text = CONFIG.replace("amplitude = 0.3", "amplitude = 30.0")
@@ -349,3 +362,20 @@ def test_simulate_bad_cadence_fails_before_front(tmp_path, monkeypatch):
     cfg.write_text(CONFIG.replace("snapshot_every = 250", "snapshot_every = 60"))
     assert run_cli(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "bad_run")]) == 1
+
+
+@pytest.mark.parametrize("p_list", ["0.5", "1.5,1.5000001"])
+def test_simulate_bad_p_list_fails_before_front(tmp_path, monkeypatch, capsys,
+                                                p_list):
+    """p < 1, or two p that share one lp_<p:g> column, is rejected before
+    the front is solved and before the run directory is made."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front solved for a config that cannot run")
+
+    monkeypatch.setattr(cli, "_solve_front", no_front)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(CONFIG.replace("p_list = 1.5,4", f"p_list = {p_list}"))
+    out = tmp_path / "bad_run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

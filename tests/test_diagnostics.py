@@ -8,14 +8,13 @@ from frontlab import (Field, NormSeries, check_energy_inequality,
 
 
 def synthetic_series(times, l2, p_list=(), dv=None, l1=None, weighted=None):
-    s = NormSeries(p_list=p_list)
-    dv = dv if dv is not None else l2
-    l1 = l1 if l1 is not None else l2
-    weighted = weighted if weighted is not None else l2
-    for i, t in enumerate(times):
-        s.append(t, 0.0, 0.0, l1[i], l2[i], l2[i],
-                 [l2[i]] * len(p_list), dv[i], weighted[i])
-    return s
+    l2 = np.asarray(l2, dtype=float)
+    zero = np.zeros_like(l2)
+    columns = [times, zero, zero, l2 if l1 is None else l1, l2, l2,
+               *[l2] * len(p_list), l2 if dv is None else dv,
+               l2 if weighted is None else weighted, np.maximum.accumulate(l2)]
+    return NormSeries(p_list, {name: np.asarray(c, dtype=float).tolist()
+                               for name, c in zip(NormSeries(p_list).data, columns)})
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +114,14 @@ def test_frequency_split_parseval_and_bernstein():
 
 
 def test_norm_series_norm_for_p():
-    series = NormSeries(p_list=(1.5, 4.0))
-    for i, t in enumerate((0.0, 1.0)):
-        series.append(t, 0.0, 0.0, 1.0 + i, 2.0 + i, 3.0 + i, [4.0 + i, 5.0 + i],
-                      6.0 + i, 7.0 + i)
+    names = NormSeries((1.5, 4.0)).data
+    series = NormSeries((1.5, 4.0), {name: [float(j), j + 0.5]
+                                     for j, name in enumerate(names)})
     for p, name in (("derivative", "dv_l2"), (1, "l1"), (2.0, "l2"),
-                    (np.inf, "linf"), (1.5, "lp:1.5"), (4, "lp:4.0")):
+                    (np.inf, "linf"), (1.5, "lp_1.5"), (4, "lp_4")):
         assert np.array_equal(series.norm(p), series.column(name))
+    with pytest.raises(ValueError, match="lp_3.7"):
+        series.norm(3.7)
 
 
 def test_frequency_split_requires_snapshots():
@@ -229,11 +229,22 @@ def test_weighted_monitor_growth_flag():
 
 
 def test_norm_series_validation():
-    s = NormSeries()
-    s.append(0.0, 0, 0, 1, 1, 1, [], 1, 1)
-    with pytest.raises(ValueError):
-        s.append(0.0, 0, 0, 1, 1, 1, [], 1, 1)
-    assert s.m_sup == [1.0]
+    names = NormSeries().data
+    with pytest.raises(ValueError, match="increasing"):
+        NormSeries((), {name: [0.0, 0.0] for name in names})
+    with pytest.raises(ValueError, match="columns"):
+        NormSeries((1.5,), {name: [] for name in names})
+    for p_list in ((0.5,), (float("nan"),), (1.5, 1.5000001)):
+        with pytest.raises(ValueError):
+            NormSeries(p_list)
+
+    g = make_grid(64, 16.0)
+    s = NormSeries((1.5,))
+    for t, a in ((0.0, 2.0), (1.0, 1.0)):
+        v = Field(g, a * np.exp(-g.x ** 2))
+        s.append(t, 0.1, 0.2, v, 3.0)
+    assert s.linf == [2.0, 1.0] and s.m_sup == [2.0, 2.0]
+    assert s.column("lp_1.5")[1] == lp_norm(v, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def test_evolve_bitwise_equals_half_spectrum_oracle(grid_std, kdvb_front, scheme
     traj = quiet_evolve(v0, kdvb_front, spec, cfg, disable=disable)
     series, snapshots, x0_final, masked_peak = half_spectrum_evolve(
         v0, kdvb_front, spec, cfg, disable)
-    got, want = traj.series.columns(), series.columns()
+    got, want = traj.series.data, series.data
     assert list(got) == list(want) and len(want["t"]) == 11
     for name in want:
         assert np.array_equal(got[name], want[name]), name
