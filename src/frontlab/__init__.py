@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .symbols import (AdmissibilityReport, MultiplierSpec, SymbolError,
                       SymbolExpr, eval_symbol, parse_symbol, preset,
                       rescale_symbol, spec_from_text, validate_admissibility)
-from .spectral import (Field, Grid, apply_multiplier, band_project, dealias,
-                       derivative, kernel_positivity_check, lp_norm,
-                       make_grid, weighted_l2)
+from .spectral import (Field, Grid, apply_multiplier, band_project, derivative,
+                       kernel_positivity_check, lp_norm, make_grid,
+                       weighted_l2)
 from .fronts import (FrontError, FrontProfile, GalileanParams,
                      closed_form_burgers, denormalize_solution,
                      front_for_operator, galilean_normalize, newton_front,
@@ -23,10 +23,8 @@ from .certify import (SpectralCertificate, certify_front,
                       count_negative_eigenvalues, schrodinger_tridiagonal,
                       sweep_nu)
 from .evolution import (StabilityError, StepperConfig, Trajectory,
-                        cole_hopf_exact, evolve, make_perturbation,
-                        rhs_perturbation)
+                        cole_hopf_exact, evolve, make_perturbation)
 from .diagnostics import (NormSeries, check_energy_inequality,
-                          compare_to_theorem, epsilon_of_time, fit_rate,
-                          frequency_split_series, predicted_rate,
+                          compare_to_theorem, fit_rate, predicted_rate,
                           weighted_bound_monitor)
 from .config import RunConfig, operator_from_config

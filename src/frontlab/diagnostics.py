@@ -6,19 +6,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .spectral import Field, band_project, lp_norm, weighted_l2
+from .spectral import Field, lp_norm, weighted_l2
 
 __all__ = [
     "NormSeries",
-    "FrequencySplit",
     "RateFit",
     "EnergyReport",
     "WeightedReport",
     "check_energy_inequality",
-    "frequency_split_series",
-    "epsilon_of_time",
     "fit_rate",
     "predicted_rate",
     "compare_to_theorem",
@@ -123,63 +119,6 @@ def check_energy_inequality(series: NormSeries,
 
 
 @dataclass(frozen=True)
-class FrequencySplit:
-    """Low/high-frequency energy split I(t) = I_low(t) + I_high(t) at a
-    cutoff eps (ordinary frequency units)."""
-
-    eps_freq: float
-    t: np.ndarray
-    i_low: np.ndarray
-    i_high: np.ndarray
-    parseval_defect: float
-    bernstein_slack: float   # max of I_low - 2*eps*||v||_1^2 (<= 0 when the bound holds)
-    eps_opt: np.ndarray | None = None
-
-
-def epsilon_of_time(t: float, c1: float) -> float:
-    """Solve exp(-c1*eps^2*t) = eps for eps in (0,1)."""
-    if t <= 0.0 or c1 <= 0.0:
-        raise ValueError("need positive time and constant")
-
-    def f(eps):
-        return c1 * eps * eps * t + np.log(eps)
-
-    return brentq(f, 1e-300, 1.0 - 1e-15)
-
-
-def frequency_split_series(snapshots: Sequence[tuple[float, Field]],
-                           eps_freq: float,
-                           c1: float | None = None) -> FrequencySplit:
-    """Band-split energies along stored snapshots.
-
-    Also evaluates the band-limited bound I_low <= 2*eps*||v||_1^2 (the
-    interval (-eps, eps) has measure 2*eps) and, when c1 is given, the
-    crossover frequency solving exp(-c1*eps^2*t) = eps per time.
-    """
-    if not snapshots:
-        raise ValueError("no snapshots available")
-    ts, lows, highs, slack, parseval = [], [], [], -np.inf, 0.0
-    for t, f in snapshots:
-        low, high = band_project(f, eps_freq)
-        il = lp_norm(low, 2) ** 2
-        ih = lp_norm(high, 2) ** 2
-        total = lp_norm(f, 2) ** 2
-        parseval = max(parseval, abs(il + ih - total) / max(total, 1e-300))
-        slack = max(slack, il - 2.0 * eps_freq * lp_norm(f, 1) ** 2)
-        ts.append(t)
-        lows.append(il)
-        highs.append(ih)
-    eps_opt = None
-    if c1 is not None:
-        eps_opt = np.array([epsilon_of_time(t, c1) if t > 0 else np.nan
-                            for t in ts])
-    return FrequencySplit(eps_freq=float(eps_freq), t=np.asarray(ts),
-                          i_low=np.asarray(lows), i_high=np.asarray(highs),
-                          parseval_defect=float(parseval),
-                          bernstein_slack=float(slack), eps_opt=eps_opt)
-
-
-@dataclass(frozen=True)
 class RateFit:
     """Least-squares decay exponent of norm ~ A * (ln t)^beta * t^exponent."""
 
@@ -224,20 +163,24 @@ def predicted_rate(model: str, p: float, delta: float = 0.05):
     kdvb: 1/2 at p=2; (1-1/p)-delta for 1<p<2; 1/p for p>2 (no log).
     frac_odd: (1-1/p)/2 with matching log power for 1<p<=2;
     7/24 - 1/(12p) with matching log power for 2<p<=inf;
-    p='derivative' gives the gradient bound (ln t / t)^{1/3}.
+    p='derivative' gives the gradient bound (ln t / t)^{1/3}.  Any other p
+    (kdvb at p = 1, inf or 'derivative'; frac_odd at p = 1) raises ValueError.
     """
+    if model not in ("kdvb", "frac_odd"):
+        raise ValueError(f"unknown model {model!r}")
     if p == "derivative":
-        return (1.0 / 3.0, 1.0 / 3.0) if model == "frac_odd" else (None, None)
-    p = float(p)
-    if model == "kdvb":
+        if model == "frac_odd":
+            return 1.0 / 3.0, 1.0 / 3.0
+    elif model == "kdvb":
+        p = float(p)
         if p == 2.0:
             return 0.5, 0.0
         if 1.0 < p < 2.0:
             return (1.0 - 1.0 / p) - delta, 0.0
-        if p > 2.0 and np.isfinite(p):
+        if 2.0 < p < np.inf:
             return 1.0 / p, 0.0
-        return None, None
-    if model == "frac_odd":
+    else:
+        p = float(p)
         if 1.0 < p <= 2.0:
             r = 0.5 * (1.0 - 1.0 / p)
             return r, r
@@ -245,8 +188,7 @@ def predicted_rate(model: str, p: float, delta: float = 0.05):
             q = 0.0 if np.isinf(p) else 1.0 / p
             r = 7.0 / 24.0 - q / 12.0
             return r, r
-        return None, None
-    raise ValueError(f"unknown model {model!r}")
+    raise ValueError(f"model {model!r} makes no claim for p = {p}")
 
 
 @dataclass(frozen=True)
@@ -276,8 +218,6 @@ def compare_to_theorem(series: NormSeries, model: str,
     verdicts = []
     for p in p_list:
         rate, beta = predicted_rate(model, p, delta)
-        if rate is None:
-            continue
         norm = series.norm(p)
         lo, hi = window
         mask = (t >= lo) & (t <= hi)

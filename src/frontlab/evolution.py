@@ -44,7 +44,6 @@ __all__ = [
     "StabilityError",
     "StepperConfig",
     "Trajectory",
-    "rhs_perturbation",
     "make_stepper",
     "evolve",
     "cole_hopf_exact",
@@ -105,7 +104,7 @@ class _Workspace:
     """Precomputed grid/front data shared by rhs evaluations, on the
     real-FFT modes the state keeps: 0..n/3, which the two-thirds rule
     retains, or all of 0..n/2 without dealiasing (the Nyquist entry keeps
-    -k_max).  `lin` spans all of 0..n/2, for `rhs_perturbation`."""
+    -k_max)."""
 
     def __init__(self, front: FrontProfile, spec: MultiplierSpec,
                  gamma: float, dealias: bool,
@@ -130,7 +129,7 @@ class _Workspace:
         self._padded = np.zeros(k.size)
         # the FFT outputs of nonlinear_hat, overwritten by each evaluation
         self._v, self._flux_hat = np.empty(n), np.empty(k.size, complex)
-        self.lin = -k ** 2 + spec.values(k)
+        self.lin = -self.k ** 2 + spec.values(self.k)
         self.dphi = front.phi_prime.values
         self.dphi_hat = np.fft.rfft(self.dphi)[: self.modes]
         # flux phi*v + v^2/2; a disabled term gets a zero coefficient
@@ -169,20 +168,6 @@ class _Workspace:
         out[:-1] += x0_dot * self.dphi_hat
         out[-1] = x0_dot
         return out, x0_dot
-
-
-def rhs_perturbation(v: Field, front: FrontProfile, spec: MultiplierSpec,
-                     gamma: float = 1.1, dealias: bool = True) -> tuple[Field, float]:
-    """Full tendency of the perturbation equation and the translation speed.
-
-    The linear symbol acts on every mode of v_hat; the payload is the one
-    `evolve` steps with, on the modes the two-thirds rule keeps if `dealias`.
-    """
-    ws = _Workspace(front, spec, gamma, dealias)
-    vhat = np.fft.rfft(v.values)
-    zdot, x0_dot = ws.nonlinear_hat(np.append(vhat, 0.0))
-    payload = np.pad(zdot[:-1], (0, vhat.size - ws.modes))
-    return Field(v.grid, np.fft.irfft(ws.lin * vhat + payload, ws.n)), x0_dot
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +259,7 @@ class _Imex2:
 
 
 def make_stepper(ws: _Workspace, config: StepperConfig):
-    lin = np.append(ws.lin[: ws.modes], 0.0)  # x0 carries no linear part
+    lin = np.append(ws.lin, 0.0)  # x0 carries no linear part
     cls = _EtdRk4 if config.scheme == "etdrk4" else _Imex2
     return cls(lin, config.dt), ws.nonlinear_hat
 

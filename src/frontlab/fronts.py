@@ -62,12 +62,6 @@ def ref_d2(x):
     return 0.5 * s2 * np.tanh(0.5 * x)
 
 
-def ref_d3(x):
-    s2 = 1.0 / np.cosh(0.5 * x) ** 2
-    t = np.tanh(0.5 * x)
-    return 0.25 * s2 * (s2 - 2.0 * t * t)
-
-
 def _check_vanishing_symbol(spec: MultiplierSpec):
     probe = np.abs(spec.values(np.array([1e-8, 1e-6, 1e-4])))
     if np.max(probe) > 0.05:

@@ -26,8 +26,6 @@ __all__ = [
     "lp_norm",
     "weighted_l2",
     "band_project",
-    "dealias",
-    "dealias_mask",
     "kernel_positivity_check",
     "KernelReport",
     "trig_interpolate",
@@ -157,11 +155,9 @@ def lp_norm(f: Field, p: float) -> float:
     return float((f.grid.h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
-def weighted_l2(f: Field, center: float = 0.0) -> float:
-    """(integral of f^2 |x - center| dx)^(1/2) by the rectangle rule."""
-    if not abs(center) < 0.5 * f.grid.length:
-        raise ValueError("center must lie inside the domain")
-    w = np.abs(f.grid.x - center)
+def weighted_l2(f: Field) -> float:
+    """(integral of f^2 |x| dx)^(1/2) by the rectangle rule."""
+    w = np.abs(f.grid.x)
     return float(np.sqrt(f.grid.h * np.sum(f.values * f.values * w)))
 
 
@@ -173,17 +169,6 @@ def band_project(f: Field, eps_freq: float) -> tuple[Field, Field]:
     mask = np.abs(f.grid.xi) < eps_freq
     low = np.fft.ifft(np.where(mask, fhat, 0.0)).real
     return Field(f.grid, low), Field(f.grid, f.values - low)
-
-
-def dealias_mask(n: int) -> np.ndarray:
-    modes = np.rint(np.fft.fftfreq(n) * n).astype(int)
-    return np.abs(modes) <= n // 3
-
-
-def dealias(spectrum: np.ndarray) -> np.ndarray:
-    """Two-thirds rule: zero all modes with |m| > n/3 (idempotent)."""
-    spectrum = np.asarray(spectrum)
-    return np.where(dealias_mask(spectrum.shape[0]), spectrum, 0.0)
 
 
 @dataclass(frozen=True)
@@ -199,23 +184,18 @@ def kernel_positivity_check(operator_or_alpha, t: float,
     """Sample the convolution kernel of exp(t*l) and report its sign.
 
     Accepts a fractional order alpha (meaning l(k) = -|k|^(2*alpha), the
-    semigroup exp(-t*(-d^2/dx^2)^alpha)), a validated multiplier, or raw
-    symbol values on grid.k.  Heat-type kernels with alpha <= 1 are
-    probability densities; for alpha > 1 the kernel changes sign.
+    semigroup exp(-t*(-d^2/dx^2)^alpha)) or a validated multiplier.
+    Heat-type kernels with alpha <= 1 are probability densities; for
+    alpha > 1 the kernel changes sign.
     """
     if not t > 0.0:
         raise ValueError("time must be positive")
     if grid is None:
         grid = make_grid(2048, 160.0)
     if np.isscalar(operator_or_alpha):
-        alpha = float(operator_or_alpha)
-        sym = -np.abs(grid.k) ** (2.0 * alpha)
-    elif hasattr(operator_or_alpha, "values"):
-        sym = np.asarray(operator_or_alpha.values(grid.k))
+        sym = -np.abs(grid.k) ** (2.0 * float(operator_or_alpha))
     else:
-        sym = np.asarray(operator_or_alpha)
-        if sym.shape != (grid.n,):
-            raise ValueError("symbol values must be sampled on grid.k")
+        sym = np.asarray(operator_or_alpha.values(grid.k))
     weights = np.exp(t * sym)
     # phase centers the kernel at x=0 on the [-L/2, L/2) grid
     phase = np.where(grid.modes % 2 == 0, 1.0, -1.0)

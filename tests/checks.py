@@ -11,7 +11,7 @@ from frontlab import (Field, apply_multiplier, band_project,
                       kernel_positivity_check, lp_norm, make_grid)
 from frontlab.diagnostics import NormSeries
 from frontlab.evolution import _EtdRk4, _Imex2
-from frontlab.spectral import dealias_mask, weighted_l2
+from frontlab.spectral import weighted_l2
 
 GRID = make_grid(1024, 80.0)
 
@@ -129,6 +129,29 @@ PROPERTY_SUITES = {
 
 # ---------------------------------------------------------------------------
 # Slow paths kept as oracles for the fast ones in src/
+
+
+def dealias_mask(n):
+    """Two-thirds rule on FFT-ordered modes: keep |m| <= n/3."""
+    modes = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    return np.abs(modes) <= n // 3
+
+
+def full_tendency(ws, v):
+    """Tendency irfft(lin*v_hat + payload) and x0' of a dealias=False `_Workspace`."""
+    vhat = np.fft.rfft(v.values)
+    zdot, x0_dot = ws.nonlinear_hat(np.append(vhat, 0.0))
+    return Field(v.grid, np.fft.irfft(ws.lin * vhat + zdot[:-1], ws.n)), x0_dot
+
+
+def band_energies(snapshots, eps):
+    """(t, I_low, I_high) over snapshots (t, v): ||v||_2^2 inside and
+    outside the band |xi| < eps, split by `band_project`."""
+    rows = []
+    for t, f in snapshots:
+        low, high = band_project(f, eps)
+        rows.append((t, lp_norm(low, 2) ** 2, lp_norm(high, 2) ** 2))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 class HalfSpectrumWorkspace:

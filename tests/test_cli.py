@@ -254,14 +254,17 @@ def test_rates_idempotent_verdicts(tmp_path):
 
 
 def test_rates_p_list(tmp_path, capsys):
-    """--p-list reads inf; a p the series has no column for is an input
-    error."""
+    """--p-list reads inf; a p the model has no rate for, or the series
+    has no column for, is an input error."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG)
     out = tmp_path / "run_p"
     run_cli(["simulate", "--config", str(cfg), "--out", str(out)])
     capsys.readouterr()
-    assert run_cli(["rates", "--run", str(out), "--p-list", "2,inf"]) == 0
+    assert run_cli(["rates", "--run", str(out), "--p-list", "2,4"]) == 0
+    assert run_cli(["rates", "--run", str(out), "--p-list", "2,inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p = inf" in err
     assert run_cli(["rates", "--run", str(out), "--p-list", "3.7"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 

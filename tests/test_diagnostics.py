@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from frontlab import (Field, NormSeries, check_energy_inequality,
-                      compare_to_theorem, epsilon_of_time, fit_rate,
-                      frequency_split_series, lp_norm, make_grid,
+                      compare_to_theorem, fit_rate, lp_norm, make_grid,
                       predicted_rate, weighted_bound_monitor)
+
+from checks import band_energies
 
 
 def synthetic_series(times, l2, p_list=(), dv=None, l1=None, weighted=None):
@@ -89,30 +90,6 @@ def test_energy_inequality_counts_violations():
     assert rep.violations > 0
 
 
-# ---------------------------------------------------------------------------
-# Frequency split
-
-
-def make_snapshots():
-    g = make_grid(512, 80.0)
-    rng = np.random.default_rng(9)
-    snaps = []
-    for i, t in enumerate(np.linspace(0.5, 5.0, 6)):
-        decay = np.exp(-0.3 * t)
-        vals = decay * np.exp(-((g.x - 2.0 * np.sin(i)) / 3.0) ** 2)
-        snaps.append((float(t), Field(g, vals)))
-    return snaps
-
-
-def test_frequency_split_parseval_and_bernstein():
-    snaps = make_snapshots()
-    split = frequency_split_series(snaps, 0.1)
-    assert split.parseval_defect <= 1e-12
-    total = np.array([lp_norm(f, 2) ** 2 for _, f in snaps])
-    assert np.max(np.abs(split.i_low + split.i_high - total)) <= 1e-12 * total.max()
-    assert split.bernstein_slack <= 0.0
-
-
 def test_norm_series_norm_for_p():
     names = NormSeries((1.5, 4.0)).data
     series = NormSeries((1.5, 4.0), {name: [float(j), j + 0.5]
@@ -122,32 +99,6 @@ def test_norm_series_norm_for_p():
         assert np.array_equal(series.norm(p), series.column(name))
     with pytest.raises(ValueError, match="lp_3.7"):
         series.norm(3.7)
-
-
-def test_frequency_split_requires_snapshots():
-    with pytest.raises(ValueError):
-        frequency_split_series([], 0.1)
-
-
-def test_epsilon_of_time_solves_fixed_point():
-    for t, c1 in ((10.0, 1.0), (1000.0, 0.3)):
-        eps = epsilon_of_time(t, c1)
-        assert np.exp(-c1 * eps * eps * t) == pytest.approx(eps, rel=1e-10)
-
-
-def test_epsilon_of_time_asymptote():
-    """eps(t) * sqrt(t / ln t) approaches a constant (within 10%)."""
-    ts = np.geomspace(1e2, 1e4, 25)
-    vals = np.array([epsilon_of_time(t, 1.0) * np.sqrt(t / np.log(t))
-                     for t in ts])
-    assert np.max(vals) / np.min(vals) <= 1.10
-
-
-def test_frequency_split_eps_opt_column():
-    snaps = make_snapshots()
-    split = frequency_split_series(snaps, 0.1, c1=1.0)
-    assert split.eps_opt is not None
-    assert np.all(np.isfinite(split.eps_opt))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +120,11 @@ def test_predicted_rate_table():
     assert rate == beta == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         predicted_rate("airy", 2.0)
+    for model, p in (("kdvb", np.inf), ("kdvb", 1.0), ("kdvb", "derivative"),
+                     ("frac_odd", 1.0)):
+        with pytest.raises(ValueError, match=f"model '{model}' makes no claim "
+                                             f"for p = {p}$"):
+            predicted_rate(model, p)
 
 
 def test_compare_to_theorem_envelopes():
@@ -276,19 +232,21 @@ def test_frequency_split_groenwall_chain(frac_odd_short_run, eps):
     with C_fit taken from the energy audit of the same run."""
     traj, _ = frac_odd_short_run
     c_fit = check_energy_inequality(traj.series).c_fit
-    split = frequency_split_series(traj.snapshots, eps)
-    i0 = split.i_low[0] + split.i_high[0]
+    t, i_low, i_high = band_energies(traj.snapshots, eps)
+    i0 = i_low[0] + i_high[0]
     k_eps = 2.0 * np.pi * eps
-    running_low = np.maximum.accumulate(split.i_low)
-    bound = i0 * np.exp(-c_fit * k_eps ** 2 * split.t) + running_low
-    slack = split.i_high - bound
+    running_low = np.maximum.accumulate(i_low)
+    bound = i0 * np.exp(-c_fit * k_eps ** 2 * t) + running_low
+    slack = i_high - bound
     assert np.max(slack) <= 1e-12 * i0
 
 
 def test_low_band_bounded_by_initial_mass(frac_odd_short_run):
     """Odd fractional run: I_low(t) <= 2 eps ||v0||_1^2 via L1 contraction."""
     traj, l1_0 = frac_odd_short_run
+    l1 = np.array([lp_norm(f, 1) for _, f in traj.snapshots])
     for eps in (0.05, 0.1, 0.2):
-        split = frequency_split_series(traj.snapshots, eps)
-        assert np.max(split.i_low) <= 2.0 * eps * l1_0 ** 2 * (1.0 + 1e-8)
-        assert split.bernstein_slack <= 1e-12
+        _, i_low, _ = band_energies(traj.snapshots, eps)
+        assert np.max(i_low) <= 2.0 * eps * l1_0 ** 2 * (1.0 + 1e-8)
+        # Bernstein at each snapshot: I_low(t) <= 2 eps ||v(t)||_1^2
+        assert np.max(i_low - 2.0 * eps * l1 ** 2) <= 1e-12

@@ -12,7 +12,7 @@ from frontlab import (Field, FrontError, certify_front, closed_form_burgers,
                       preset, profile_residual, shoot_local_front)
 from frontlab.fronts import (FrontProfile, _build_profile,
                              _check_vanishing_symbol, _shoot_normalized,
-                             operator_on_reference, ref_d3, ref_profile,
+                             operator_on_reference, ref_profile,
                              reference_front)
 
 
@@ -148,6 +148,13 @@ def test_profile_residual_sensitivity(kdvb_front):
         operator=kdvb_front.operator, residual_sup=np.nan,
         hypothesis=kdvb_front.hypothesis, method="bumped")
     assert profile_residual(bumped) >= 10.0 * kdvb_front.residual_sup
+
+
+def ref_d3(x):
+    """Third derivative of the reference profile -tanh(x/2)."""
+    s2 = 1.0 / np.cosh(0.5 * x) ** 2
+    t = np.tanh(0.5 * x)
+    return 0.25 * s2 * (s2 - 2.0 * t * t)
 
 
 def test_operator_on_reference_periodization_vs_analytic(grid_std):
