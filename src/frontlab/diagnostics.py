@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import Field, lp_norm, weighted_l2
+from .spectral import Field, lp_norms, weighted_l2
 
 __all__ = [
     "NormSeries",
@@ -58,9 +58,8 @@ class NormSeries:
 
     def append(self, t, x0, x0_dot, v: Field, dv_l2):
         """Record the norms of the field v at time t."""
-        linf = lp_norm(v, np.inf)
-        row = (t, x0, x0_dot, lp_norm(v, 1), lp_norm(v, 2), linf,
-               *(lp_norm(v, p) for p in self.p_list), dv_l2, weighted_l2(v),
+        l1, l2, linf, *lp = lp_norms(v, (1.0, 2.0, np.inf, *self.p_list))
+        row = (t, x0, x0_dot, l1, l2, linf, *lp, dv_l2, weighted_l2(v),
                max(self.m_sup[-1] if self.m_sup else 0.0, linf))
         for values, value in zip(self.data.values(), row):
             values.append(float(value))

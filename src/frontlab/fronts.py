@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
 
 from .spectral import (Field, Grid, derivative, trig_interpolate,
                        trig_interpolate_lattice)
@@ -233,6 +233,41 @@ def reference_front(grid: Grid, spec: MultiplierSpec) -> FrontProfile:
                           "reference", phi_second=ref_d2(x), exact=False)
 
 
+class _TaylorDense(DenseOutput):
+    def __init__(self, t_old, t, coef):
+        super().__init__(t_old, t)
+        self.coef = coef  # one step's Taylor coefficients of phi and phi'
+
+    def _call_impl(self, t):
+        return np.polynomial.polynomial.polyval(t - self.t_old, self.coef)
+
+
+class _ProfileTaylor(OdeSolver):
+    """Order-24 Taylor stepper for y = (phi, phi'), forward in x only and
+    without calls to `fun`; see `_shoot_normalized`."""
+
+    def __init__(self, fun, t0, y0, t_bound, vectorized, a):
+        super().__init__(fun, t0, y0, t_bound, vectorized)
+        self.a = float(a)
+
+    def _step_impl(self):
+        a, n = self.a, 24
+        c = [float(self.y[0]), float(self.y[1])]
+        for k in range(n - 1):
+            conv = sum(c[j] * c[k - j] for j in range(k + 1)) - (k == 0)
+            c.append((0.5 * conv - (k + 1) * c[k + 1]) / (a * (k + 1) * (k + 2)))
+        tol = 1e-16 * max(1.0, abs(c[0]), abs(c[1]))
+        h = min([0.8 * (tol / abs(c[m])) ** (1.0 / m) for m in (n - 1, n) if c[m]]
+                + [self.t_bound - self.t])
+        self.coef = np.array([c, [k * c[k] for k in range(1, n + 1)] + [0.0]]).T
+        self.y = np.polynomial.polynomial.polyval(h, self.coef)
+        self.t_old, self.t = self.t, min(self.t + h, self.t_bound)
+        return h > 0.0, None  # a zero or nan step (non-finite state) fails
+
+    def _dense_output_impl(self):
+        return _TaylorDense(self.t_old, self.t, self.coef)
+
+
 def _shoot_normalized(a: float, targets: np.ndarray):
     """Heteroclinic orbit of a*phi'' + phi' + (1-phi^2)/2 = 0 for a > 0,
     phased so phi(0) = 0.  Returns (phi, phi') at the requested points.
@@ -240,6 +275,13 @@ def _shoot_normalized(a: float, targets: np.ndarray):
     The equation is autonomous, so the manifold amplitude only translates
     the orbit: one integration is read off at targets + x_c, x_c its first
     downward zero; past x_c the flow is attracted to phi = -1.
+
+    `solve_ivp` steps with `_ProfileTaylor`: phi = sum c_k (x - x0)^k, k <= 24,
+    from c_0 = phi(x0), c_1 = phi'(x0) and, the equation being quadratic,
+    c_{k+2} = ((c*c)_k/2 - delta_k0/2 - (k+1) c_{k+1}) / (a (k+1)(k+2)) with
+    (c*c)_k the Cauchy product.  The step is 0.8 min_m (1e-16 s/|c_m|)^(1/m)
+    over m = 23, 24 with s = max(1, |phi|, |phi'|) (Jorba & Zou 2005).  The
+    dense output is the step polynomial: x_c and the targets cost no steps.
     """
     mu = (-1.0 + np.sqrt(1.0 + 4.0 * a)) / (2.0 * a)  # unstable rate at phi=1
     # second-order unstable-manifold expansion phi = 1 - d + c2*d^2 keeps the
@@ -269,9 +311,8 @@ def _shoot_normalized(a: float, targets: np.ndarray):
     # before log(1/delta)/r
     rate = (-1.0 + np.sqrt(1.0 + 2.0 * a)) / (2.0 * a)
     span = np.log(1.0 / delta) / rate + float(np.max(targets)) + 1.0
-    sol = solve_ivp(rhs, (0.0, span), manifold(0.0),
-                    method="DOP853", rtol=1e-13, atol=1e-15,
-                    dense_output=True, events=(crossing, blowup), max_step=0.5)
+    sol = solve_ivp(rhs, (0.0, span), manifold(0.0), method=_ProfileTaylor, a=a,
+                    dense_output=True, events=(crossing, blowup))
     if sol.status != 0 or sol.t_events[0].size == 0:
         raise FrontError(f"shooting integration failed for nu={a:g}")
 

@@ -24,6 +24,7 @@ __all__ = [
     "apply_multiplier",
     "derivative",
     "lp_norm",
+    "lp_norms",
     "weighted_l2",
     "band_project",
     "kernel_positivity_check",
@@ -61,6 +62,13 @@ class Grid:
             ik[self.n // 2] = 0.0
         ik.flags.writeable = False
         return ik
+
+    @cached_property
+    def abs_x(self) -> np.ndarray:
+        """Read-only |x| at the grid points (the weight of weighted_l2)."""
+        abs_x = np.abs(self.x)
+        abs_x.flags.writeable = False
+        return abs_x
 
     @property
     def xi(self) -> np.ndarray:
@@ -144,21 +152,23 @@ def l2_norm_raw(grid: Grid, values: np.ndarray) -> float:
 
 def lp_norm(f: Field, p: float) -> float:
     """Rectangle-rule L^p norm; p = inf gives the max norm."""
-    if p == np.inf:
-        return float(np.max(np.abs(f.values)))
-    if p < 1.0:
+    return lp_norms(f, (p,))[0]
+
+
+def lp_norms(f: Field, ps) -> list[float]:
+    """lp_norm(f, p) for each p of ps, all from one |f| (p = 2 sums f*f)."""
+    if any(p < 1.0 for p in ps):
         raise ValueError("p must be >= 1 or inf")
-    if p == 1.0:
-        return float(f.grid.h * np.sum(np.abs(f.values)))
-    if p == 2.0:
-        return l2_norm_raw(f.grid, f.values)
-    return float((f.grid.h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    absf, h = np.abs(f.values), f.grid.h
+    return [float(np.max(absf)) if p == np.inf
+            else float(h * np.sum(absf)) if p == 1.0
+            else l2_norm_raw(f.grid, f.values) if p == 2.0
+            else float((h * np.sum(absf ** p)) ** (1.0 / p)) for p in ps]
 
 
 def weighted_l2(f: Field) -> float:
     """(integral of f^2 |x| dx)^(1/2) by the rectangle rule."""
-    w = np.abs(f.grid.x)
-    return float(np.sqrt(f.grid.h * np.sum(f.values * f.values * w)))
+    return float(np.sqrt(f.grid.h * np.sum(f.values * f.values * f.grid.abs_x)))
 
 
 def band_project(f: Field, eps_freq: float) -> tuple[Field, Field]:

@@ -3,7 +3,7 @@ import pytest
 
 from frontlab import (Field, NormSeries, check_energy_inequality,
                       compare_to_theorem, fit_rate, lp_norm, make_grid,
-                      predicted_rate, weighted_bound_monitor)
+                      predicted_rate, weighted_bound_monitor, weighted_l2)
 
 from checks import band_energies
 
@@ -201,6 +201,24 @@ def test_norm_series_validation():
         s.append(t, 0.1, 0.2, v, 3.0)
     assert s.linf == [2.0, 1.0] and s.m_sup == [2.0, 2.0]
     assert s.column("lp_1.5")[1] == lp_norm(v, 1.5)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_norm_series_row_equals_per_norm_values(n):
+    """append takes every norm from one |v|; each matches lp_norm and
+    weighted_l2 to the bit, so series.csv does not change."""
+    g = make_grid(n, 40.0)
+    rng = np.random.default_rng(n)
+    p_list = (1.5, 3.0, 4.0)
+    s = NormSeries(p_list)
+    for t in range(4):
+        v = Field(g, rng.standard_normal(n) * np.exp(-0.01 * g.x ** 2))
+        s.append(float(t), 0.0, 0.0, v, 1.0)
+        want = [lp_norm(v, 1), lp_norm(v, 2), lp_norm(v, np.inf),
+                *(lp_norm(v, p) for p in p_list), weighted_l2(v)]
+        got = [s.column(name)[t] for name in
+               ("l1", "l2", "linf", "lp_1.5", "lp_3", "lp_4", "weighted")]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -10,6 +11,7 @@ from frontlab import (Field, FrontError, certify_front, closed_form_burgers,
                       denormalize_solution, front_for_operator,
                       galilean_normalize, lp_norm, make_grid, newton_front,
                       preset, profile_residual, shoot_local_front)
+from frontlab import fronts
 from frontlab.fronts import (FrontProfile, _build_profile,
                              _check_vanishing_symbol, _shoot_normalized,
                              operator_on_reference, ref_profile,
@@ -180,7 +182,8 @@ def test_operator_on_reference_rejects_hilbert(grid_std):
 def test_shooting_matches_explicit_profile(grid_std, kdvb_front):
     y0 = brentq(explicit_kdvb_profile, 0.0, 5.0, xtol=1e-15)
     want = explicit_kdvb_profile(grid_std.x + y0)
-    assert np.max(np.abs(kdvb_front.phi.values - want)) <= 1e-7
+    # the Taylor stepper is at roundoff here (DOP853 at rtol 1e-13 gave 6.9e-14)
+    assert np.max(np.abs(kdvb_front.phi.values - want)) <= 1e-14
     assert kdvb_front.residual_sup <= 1e-8
     # phase convention and monotonicity of the |nu| <= 1/4 front
     assert abs(kdvb_front.phi.values[grid_std.n // 2]) <= 1e-10
@@ -227,6 +230,50 @@ def test_shooting_certificate_matches_oracle_front(nu):
     assert got.counts == want.counts
     assert got.near_zero_flags == want.near_zero_flags
     assert got.richardson_ok == want.richardson_ok
+
+
+@pytest.fixture
+def shots(monkeypatch):
+    """The result of every fronts.solve_ivp call made while a test runs."""
+    sols = []
+
+    def recording(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+    monkeypatch.setattr(fronts, "solve_ivp", recording)
+    return sols
+
+
+def test_shooting_is_one_short_integration(shots):
+    """One solve_ivp call per front, in far fewer steps than DOP853's 661."""
+    shoot_local_front(4.6, make_grid(4096, 460.0), tol=1e-6)
+    assert len(shots) == 1
+    assert shots[0].t.size - 1 <= 120
+
+
+@pytest.mark.parametrize("a,length", [(0.05, 80.0), (0.24, 80.0), (4.6, 460.0)])
+def test_taylor_dense_output_solves_profile_equation(shots, a, length):
+    """At each step's midpoint the dense output is the step polynomial, and
+    that polynomial satisfies a*phi'' + phi' + (1-phi^2)/2 = 0."""
+    _shoot_normalized(a, make_grid(1024, length).x)
+    (sol,) = shots
+    for piece in sol.sol.interpolants:
+        mid = 0.5 * (piece.t_old + piece.t)
+        phi, dphi = piece(mid)
+        dt = mid - piece.t_old
+        c_phi, c_dphi = piece.coef.T
+        assert phi == pytest.approx(polyval(dt, c_phi), abs=1e-15)
+        assert dphi == pytest.approx(polyval(dt, polyder(c_phi)), abs=1e-15)
+        d2phi = polyval(dt, polyder(c_dphi))
+        assert abs(a * d2phi + dphi + 0.5 * (1.0 - phi ** 2)) <= 1e-12
+
+
+def test_taylor_stepper_fails_on_overflow():
+    """A state whose coefficients overflow gives a nan step: the solve
+    fails at once instead of stepping in place forever."""
+    sol = solve_ivp(None, (0.0, 10.0), [1e200, 1e200],
+                    method=fronts._ProfileTaylor, a=0.5)
+    assert sol.status == -1
 
 
 def test_shooting_rejects_zero_nu(grid_std):
