@@ -159,20 +159,20 @@ def _counts(front: FrontProfile, m: int, half_width: float, eps_all):
 def certify_front(front: FrontProfile,
                   eps_samples: Sequence[float] = DEFAULT_EPS_SAMPLES,
                   m: int = 2000,
-                  half_width: float | None = None,
                   strict: bool = True) -> SpectralCertificate:
-    """Counts for each eps, with Richardson refinement on lattices of m
-    and 2m points.  Where their counts differ at some eps, the 4m lattice
-    is counted too and the pair (2m, 4m) replaces them, with `m` recording
-    2m.  Counts come from the finer lattice of the pair and a near-zero
-    flag from either; a pair that still disagrees marks the certificate
-    unresolved, which raises in strict mode.
+    """Counts for each eps on [-0.45 L, 0.45 L], with Richardson
+    refinement on lattices of m and 2m points.  Where their counts differ
+    at some eps, the 4m lattice is counted too and the pair (2m, 4m)
+    replaces them, with `m` recording 2m.  Counts come from the finer
+    lattice of the pair and a near-zero flag from either; a pair that
+    still disagrees marks the certificate unresolved (raised if strict).
     """
+    if not eps_samples:
+        raise ValueError("need at least one eps sample in (0, 1)")
     for eps in eps_samples:
         if not 0.0 < eps < 1.0:
             raise ValueError("eps samples must lie in (0, 1)")
-    if half_width is None:
-        half_width = 0.45 * front.grid.length
+    half_width = 0.45 * front.grid.length
 
     eps_all = (0.0,) + tuple(float(e) for e in eps_samples)
     (c1, f1), (c2, f2) = (_counts(front, k * m, half_width, eps_all)

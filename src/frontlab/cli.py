@@ -23,8 +23,7 @@ from .diagnostics import (check_energy_inequality, compare_to_theorem,
                           weighted_bound_monitor)
 from .evolution import (StabilityError, StepperConfig, cole_hopf_exact, evolve,
                      make_perturbation)
-from .fronts import (FrontError, closed_form_burgers, front_for_operator,
-                     newton_front, shoot_local_front)
+from .fronts import FrontError, front_for_operator
 from .spectral import Field, make_grid, trig_interpolate
 from .symbols import SymbolError
 
@@ -80,29 +79,14 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _solve_front(cfg: RunConfig, method: str | None = None):
-    spec = operator_from_config(cfg)
-    grid = make_grid(cfg.n, cfg.length)
-    method = method or cfg.front_method
-    if method == "closed_form":
-        return closed_form_burgers(grid)
-    if method == "shooting":
-        if cfg.nu is None:
-            raise FrontError("shooting requires the kdvb preset with --nu")
-        return shoot_local_front(cfg.nu, grid, tol=cfg.front_tol)
-    if method == "newton":
-        return newton_front(spec, grid, tol=cfg.front_tol)
-    return front_for_operator(spec, grid, tol=cfg.front_tol)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_front(args) -> int:
     cfg = _config_from_args(args)
-    cfg.front_tol = args.tol
-    front = _solve_front(cfg, args.method)
+    front = front_for_operator(operator_from_config(cfg),
+                               make_grid(cfg.n, cfg.length), tol=args.tol)
     saved = runio.write_profile(args.out or "profile", front)
     hyp = front.hypothesis
     monotone = float(np.max(front.phi_prime.values)) <= 1e-10
@@ -149,7 +133,9 @@ def cmd_certify(args) -> int:
         front = runio.read_profile(args.profile)
     else:
         cfg = _config_from_args(args)
-        front = _solve_front(cfg)
+        front = front_for_operator(operator_from_config(cfg),
+                                   make_grid(cfg.n, cfg.length),
+                                   tol=cfg.front_tol)
     try:
         cert = certify_front(front, eps_samples=eps, m=args.fd_points)
     except CertificationError as exc:
@@ -176,7 +162,7 @@ def _run_pipeline(cfg: RunConfig) -> tuple[int, dict, str]:
         snapshot_every=cfg.snapshot_every, p_list=cfg.p_list,
     )
     v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
-    front = _solve_front(cfg)
+    front = front_for_operator(spec, grid, tol=cfg.front_tol)
     cert = None
     try:
         cert = certify_front(front, eps_samples=cfg.eps_samples, m=cfg.fd_points)
@@ -248,7 +234,7 @@ def cmd_oracle(args) -> int:
               "(operator must be 0)", file=sys.stderr)
         return EXIT_USAGE
     grid = make_grid(cfg.n, cfg.length)
-    front = _solve_front(cfg, "closed_form")
+    front = front_for_operator(spec, grid, tol=cfg.front_tol)
     v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
     u0 = Field(grid, front.phi.values + v0.values)
     times = sorted(float(t) for t in args.times.split(","))
@@ -321,8 +307,7 @@ def _parse_p(text: str):
     return text if text == "derivative" else float(text)
 
 
-def _simulate_worker(snapshot: dict) -> tuple[str, int, dict, str]:
-    cfg = RunConfig.from_snapshot(snapshot)
+def _simulate_worker(cfg: RunConfig) -> tuple[str, int, dict, str]:
     try:
         return (cfg.directory, *_run_pipeline(cfg))
     except tuple(FAILURE_EXIT) as exc:
@@ -346,7 +331,7 @@ def cmd_sweep(args) -> int:
         raw = raw.strip()
         sub = replace(cfg, **{attr: parse_value(kind, raw),
                               "directory": str(base_dir / f"{attr}_{raw}")})
-        jobs.append(sub.snapshot())
+        jobs.append(sub)
 
     if args.threads > 1:
         with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
@@ -370,8 +355,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("front", help="solve a steady front profile")
     _add_operator_flags(p)
-    p.add_argument("--method", default=None,
-                   choices=["auto", "closed_form", "shooting", "newton"])
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="output base path")
     p.set_defaults(func=cmd_front)

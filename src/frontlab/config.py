@@ -27,7 +27,6 @@ class RunConfig:
     n: int = 1024
     length: float = 80.0
     # front
-    front_method: str = "auto"   # auto|closed_form|shooting|newton
     front_tol: float = 1e-8
     # certificate
     eps_samples: tuple = (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)
@@ -99,15 +98,6 @@ class RunConfig:
         """JSON image of every field; tuples serialize as lists."""
         return asdict(self)
 
-    @staticmethod
-    def from_snapshot(payload: dict) -> "RunConfig":
-        data = {}
-        for attr, value in payload.items():
-            kind = _KINDS.get(attr)
-            data[attr] = (tuple(tuple(v) for v in value) if kind == "pairs"
-                          else tuple(value) if kind == "floats" else value)
-        return RunConfig(**data)
-
 
 # One row per INI key: (section, key, RunConfig attribute, value type).
 # Types: str, int, float, bool, floats (comma list) and pairs (comma list
@@ -120,7 +110,6 @@ FIELDS = (
     ("operator", "expression", "expression", "str"),
     ("grid", "n", "n", "int"),
     ("grid", "length", "length", "float"),
-    ("front", "method", "front_method", "str"),
     ("front", "tol", "front_tol", "float"),
     ("certificate", "eps", "eps_samples", "floats"),
     ("certificate", "fd_points", "fd_points", "int"),
@@ -143,7 +132,6 @@ FIELDS = (
 )
 _ROWS = {(section, key): (attr, kind) for section, key, attr, kind in FIELDS}
 _SECTIONS = {section for section, _, _, _ in FIELDS}
-_KINDS = {attr: kind for _, _, attr, kind in FIELDS}
 _EMPTY = (None, "", ())
 
 

@@ -89,8 +89,7 @@ class EnergyReport:
     steps_used: int
 
 
-def check_energy_inequality(series: NormSeries,
-                            floor: float = 1e-12) -> EnergyReport:
+def check_energy_inequality(series: NormSeries) -> EnergyReport:
     """Fit the constant in d/dt ||v||_2^2 <= -C ||v'||_2^2 along a series.
 
     C_fit is the minimum over recorded steps of the decay-to-gradient
@@ -105,7 +104,7 @@ def check_energy_inequality(series: NormSeries,
     de = np.diff(e)
     dt = np.diff(t)
     grad = 0.5 * (d[1:] + d[:-1])
-    usable = grad > floor
+    usable = grad > 1e-12
     if np.count_nonzero(usable) < 10:
         raise ValueError("series too short: fewer than 10 usable steps")
     ratios = (-de[usable] / dt[usable]) / grad[usable]
@@ -204,10 +203,9 @@ class TheoremVerdict:
 
 def compare_to_theorem(series: NormSeries, model: str,
                        p_list: Sequence, window: tuple[float, float],
-                       delta: float = 0.05,
-                       envelope_factor: float = 2.0) -> list[TheoremVerdict]:
+                       delta: float = 0.05) -> list[TheoremVerdict]:
     """Envelope verdicts: norm(t) * t^rate / (ln t)^beta must stay within
-    `envelope_factor` of its value at the window start.
+    a factor 2 of its value at the window start.
 
     The claimed bounds are one-sided with unspecified constants, so
     boundedness of the compensated norm is the checkable statement; the
@@ -233,7 +231,7 @@ def compare_to_theorem(series: NormSeries, model: str,
         verdicts.append(TheoremVerdict(
             p=p, rate=float(rate), beta=float(beta),
             envelope_start=start, envelope_sup=sup, ratio=float(ratio),
-            satisfied=bool(ratio <= envelope_factor),
+            satisfied=bool(ratio <= 2.0),
             fitted_exponent=fit.exponent,
         ))
     return verdicts

@@ -277,7 +277,7 @@ class Trajectory:
 
 def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
            config: StepperConfig, certificate=None,
-           disable: tuple = (), on_record=None) -> Trajectory:
+           disable: tuple = ()) -> Trajectory:
     """Run the perturbation equation to t_end with per-step audits.
 
     This is the only stepping driver; a single step is a run with
@@ -322,8 +322,6 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     def record(t, x0, x0_dot):
         f = Field(grid, np.fft.irfft(z[:-1], ws.n))
         series.append(t, x0, x0_dot, f, np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1]))))
-        if on_record is not None:
-            on_record(t, f, series)
         return f
 
     boundary_warnings = 0

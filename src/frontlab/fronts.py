@@ -353,9 +353,8 @@ def shoot_local_front(nu: float, grid: Grid, tol: float = 1e-8) -> FrontProfile:
 
 
 def newton_front(spec: MultiplierSpec, grid: Grid,
-                 initial_guess: FrontProfile | None = None,
-                 tol: float = 1e-9, max_iter: int = 40) -> FrontProfile:
-    """Spectral Newton iteration on the correction w in phi = ref + w.
+                 tol: float = 1e-9) -> FrontProfile:
+    """Spectral Newton iteration on w in phi = ref + w, starting from w = 0.
 
     The linearized systems are solved in spectral space by preconditioned
     LGMRES; the translational null direction is removed by pinning the
@@ -369,8 +368,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
     n, x = grid.n, grid.x
     g = operator_on_reference(spec, grid)
     lin = grid.k ** 2 - spec.values(grid.k)  # symbol of -d^2/dx^2 - L
-    w = (initial_guess.phi.values - ref_profile(x)) if initial_guess is not None \
-        else np.zeros(n)
+    w = np.zeros(n)
 
     t0, t1 = ref_profile(x), ref_d1(x)
     precond_sym = lin + 1.0
@@ -416,7 +414,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
 
     res = _flux_residual(grid, w, lin, g)
     norm = np.max(np.abs(res))
-    for _ in range(max_iter):
+    for _ in range(40):
         if norm <= tol and abs(w[pin_index]) <= 1e-12:
             break
         phi = t0 + w
@@ -436,7 +434,7 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
         w, res, norm = trial, res_t, norm_t
     else:
         raise FrontError(
-            f"Newton did not reach tol={tol:g} in {max_iter} iterations "
+            f"Newton did not reach tol={tol:g} in 40 iterations "
             f"(residual {norm:.3e}) for {spec.label!r}"
         )
 
@@ -506,7 +504,7 @@ def denormalize_solution(profile: FrontProfile, params: GalileanParams,
 
 def front_for_operator(spec: MultiplierSpec, grid: Grid,
                        tol: float = 1e-8) -> FrontProfile:
-    """Pick a solver for the given operator.
+    """The only front dispatcher: picks the solver for the operator.
 
     burgers -> closed form; kdvb -> shooting; operators without a bounded
     front (symbol O(1) at k=0, e.g. i*sgn(k)) -> Burgers reference profile

@@ -109,9 +109,6 @@ class SymbolExpr:
     root: Node
     text: str
 
-    def __call__(self, k):
-        return eval_symbol(self, k)
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
@@ -505,12 +502,10 @@ class MultiplierSpec:
         return bool(np.all(self.values(np.array([0.0, 0.37, -2.1, 11.0])) == 0.0))
 
 
-def _make_spec(text: str, label: str, params: dict | None = None,
-               samples=None) -> MultiplierSpec:
+def _make_spec(text: str, label: str,
+               params: dict | None = None) -> MultiplierSpec:
     expr = parse_symbol(text)
-    report = validate_admissibility(
-        expr, admissibility_samples() if samples is None else samples
-    )
+    report = validate_admissibility(expr, admissibility_samples())
     return MultiplierSpec(expr=expr, label=label,
                           admissibility=report, params=params or {})
 

@@ -256,6 +256,16 @@ def test_certificate_eps_validation(burgers_front):
         certify_front(burgers_front, eps_samples=(1.2,))
 
 
+def test_certificate_needs_an_eps_sample(burgers_front, monkeypatch):
+    """An empty eps set fails with its own message before any lattice work."""
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("lattice counted for an empty eps set")
+
+    monkeypatch.setattr("frontlab.certify._counts", no_lattice)
+    with pytest.raises(ValueError, match=r"need at least one eps sample in \(0, 1\)"):
+        certify_front(burgers_front, eps_samples=())
+
+
 def test_certificate_json_flags_are_booleans(tmp_path, burgers_cert):
     """richardson_ok is stored as a JSON boolean and read back as a bool."""
     path = tmp_path / "cert.json"

@@ -75,9 +75,9 @@ def test_front_out_in_missing_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["front", "--method", "bogus"])
+        run_cli(["rates", "--run", str(tmp_path), "--model", "bogus"])
     assert exc.value.code == 1
 
 
@@ -175,6 +175,20 @@ def test_sweep_runs(tmp_path):
         b"directory,status,monotonicity_violations,l2_final,error\n")
     assert (out / "amplitude_0.1" / "series.csv").exists()
     assert (out / "amplitude_0.2" / "series.csv").exists()
+
+
+def test_sweep_threads_match_serial(tmp_path):
+    """Runs sent to worker processes write the same series as serial runs."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    for threads in ("1", "2"):
+        assert run_cli(["sweep", "--config", str(cfg),
+                        "--set", "perturbation.amplitude=0.1,0.2",
+                        "--out", str(tmp_path / threads),
+                        "--threads", threads]) == 0
+    for run in ("amplitude_0.1", "amplitude_0.2"):
+        assert ((tmp_path / "2" / run / "series.csv").read_bytes()
+                == (tmp_path / "1" / run / "series.csv").read_bytes())
 
 
 def test_sweep_keeps_finished_runs(tmp_path):
@@ -356,11 +370,22 @@ def test_malformed_config_exit_code(tmp_path):
                         "--out", str(tmp_path / "bad_run")]) == 1
 
 
+def test_front_method_key_rejected(tmp_path, capsys):
+    """The front comes from the configured operator; no key picks another
+    solver, which once gave a Burgers front for a kdvb run."""
+    cfg = tmp_path / "fork.ini"
+    cfg.write_text(CONFIG + "\n[front]\nmethod = closed_form\n")
+    out = tmp_path / "fork_run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown config key front.method\n"
+    assert not out.exists()
+
+
 def test_simulate_bad_cadence_fails_before_front(tmp_path, monkeypatch):
     def no_front(*args, **kwargs):
         raise AssertionError("front solved for a config that cannot run")
 
-    monkeypatch.setattr(cli, "_solve_front", no_front)
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(CONFIG.replace("snapshot_every = 250", "snapshot_every = 60"))
     assert run_cli(["simulate", "--config", str(cfg),
@@ -375,7 +400,7 @@ def test_simulate_bad_p_list_fails_before_front(tmp_path, monkeypatch, capsys,
     def no_front(*args, **kwargs):
         raise AssertionError("front solved for a config that cannot run")
 
-    monkeypatch.setattr(cli, "_solve_front", no_front)
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(CONFIG.replace("p_list = 1.5,4", f"p_list = {p_list}"))
     out = tmp_path / "bad_run"

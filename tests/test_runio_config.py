@@ -141,11 +141,6 @@ def test_config_ini_round_trip():
     assert again.to_ini() == text
 
 
-def test_config_snapshot_round_trip():
-    cfg = RunConfig(preset="kdvb", nu=-0.24, snapshot_every=100)
-    assert RunConfig.from_snapshot(cfg.snapshot()) == cfg
-
-
 def test_config_values_are_validated():
     assert RunConfig.from_ini("[stepper]\ndealias = on\n").dealias is True
     assert RunConfig.from_ini("[stepper]\ndealias = 0\n").dealias is False
