@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .fronts import FrontProfile, shoot_local_front
 from .spectral import make_grid
 
@@ -24,12 +25,11 @@ __all__ = [
     "schrodinger_tridiagonal",
     "count_negative_eigenvalues",
     "count_below",
+    "check_settings",
     "certify_front",
     "sweep_nu",
-    "DEFAULT_EPS_SAMPLES",
 ]
 
-DEFAULT_EPS_SAMPLES = (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)
 ZERO_EIGENVALUE_TOL = 1e-10
 
 
@@ -156,9 +156,19 @@ def _counts(front: FrontProfile, m: int, half_width: float, eps_all):
     return tuple(zip(*(_inertia(v, eps, h) for eps in eps_all)))
 
 
+def check_settings(eps_samples: Sequence[float], m: int) -> None:
+    """Raise ValueError unless the eps samples and an m-point lattice can
+    make a certificate; certify_front and sweep_nu check before any work."""
+    if not eps_samples:
+        raise ValueError("need at least one eps sample in (0, 1)")
+    if not all(0.0 < eps < 1.0 for eps in eps_samples):
+        raise ValueError("eps samples must lie in (0, 1)")
+    _lattice(m, 1.0)  # rejects too few points
+
+
 def certify_front(front: FrontProfile,
-                  eps_samples: Sequence[float] = DEFAULT_EPS_SAMPLES,
-                  m: int = 2000,
+                  eps_samples: Sequence[float] = RunConfig.eps_samples,
+                  m: int = RunConfig.fd_points,
                   strict: bool = True) -> SpectralCertificate:
     """Counts for each eps on [-0.45 L, 0.45 L], with Richardson
     refinement on lattices of m and 2m points.  Where their counts differ
@@ -167,11 +177,7 @@ def certify_front(front: FrontProfile,
     lattice of the pair and a near-zero flag from either; a pair that
     still disagrees marks the certificate unresolved (raised if strict).
     """
-    if not eps_samples:
-        raise ValueError("need at least one eps sample in (0, 1)")
-    for eps in eps_samples:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps samples must lie in (0, 1)")
+    check_settings(eps_samples, m)
     half_width = 0.45 * front.grid.length
 
     eps_all = (0.0,) + tuple(float(e) for e in eps_samples)
@@ -227,8 +233,8 @@ def _sweep_row(args) -> SweepRow:
 
 
 def sweep_nu(nu_values: Sequence[float],
-             eps_samples: Sequence[float] = DEFAULT_EPS_SAMPLES,
-             m: int = 2000,
+             eps_samples: Sequence[float] = RunConfig.eps_samples,
+             m: int = RunConfig.fd_points,
              points: int = 4096,
              threads: int = 1) -> tuple[list[SweepRow], float]:
     """Certify KdV-Burgers fronts across nu; returns rows and the largest
@@ -236,9 +242,11 @@ def sweep_nu(nu_values: Sequence[float],
 
     Fronts oscillate with decay rate ~ 1/(2|nu|), so the box grows with
     |nu| to keep the tail resolved; solver failures mark the row and the
-    sweep continues.  Rows are independent and run in worker processes
-    when threads > 1.
+    sweep continues, while bad certificate settings raise before any front
+    is shot.  Rows are independent and run in worker processes when
+    threads > 1.
     """
+    check_settings(eps_samples, m)
     jobs = [(float(nu), tuple(eps_samples), m, points) for nu in nu_values]
     if threads > 1:
         import concurrent.futures

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, runio
-from .certify import (CertificationError, certify_front, sweep_nu,
-                      DEFAULT_EPS_SAMPLES)
-from .config import FIELDS, RunConfig, operator_from_config, parse_value
+from .certify import (CertificationError, certify_front, check_settings,
+                      sweep_nu)
+from .config import KEYS, RunConfig, operator_from_config, parse_value, set_key
 from .diagnostics import (check_energy_inequality, compare_to_theorem,
                           weighted_bound_monitor)
 from .evolution import (StabilityError, StepperConfig, cole_hopf_exact, evolve,
@@ -46,21 +46,25 @@ def _failure_exit(exc: Exception) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_operator_flags(p):
-    p.add_argument("--preset", default=None,
-                   help="burgers | kdvb | bo | hilbert | frac")
-    p.add_argument("--nu", type=float, default=None, help="kdvb coefficient")
-    p.add_argument("--terms", default=None,
-                   help="fractional terms a:alpha[,a:alpha...]")
-    p.add_argument("--operator", default=None, dest="expression",
-                   help="symbol expression l(k), e.g. '-0.1*(i*k)^3'")
-    p.add_argument("--n", type=int, default=None,
-                   help="grid points (power of two; default 1024)")
-    p.add_argument("--length", type=float, default=None,
-                   help="domain length (default 80.0)")
+# flag -> the config key it sets; its text parses as that key's INI value,
+# so RunConfig holds the only defaults
+FLAG_KEYS = {"--preset": "operator.preset", "--nu": "operator.nu",
+             "--terms": "operator.terms", "--operator": "operator.expression",
+             "--n": "grid.n", "--length": "grid.length",
+             "--seed": "perturbation.seed", "--tol": "front.tol",
+             "--eps": "certificate.eps", "--fd-points": "certificate.fd_points"}
+_OPERATOR_FLAGS = ("--preset", "--nu", "--terms", "--operator", "--n", "--length")
+
+
+def _add_key_flags(p, *flags):
+    for flag in flags:
+        key = FLAG_KEYS[flag]
+        default = getattr(RunConfig, KEYS[key][0])
+        p.add_argument(flag, default=None, help=f"sets {key} (default {default!r})")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -68,15 +72,29 @@ def _config_from_args(args) -> RunConfig:
         cfg = RunConfig.from_ini(Path(args.config).read_text())
     else:
         cfg = RunConfig()
-    for name in ("preset", "nu", "expression", "n", "length", "seed"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "terms", None) is not None:
-        cfg.terms = parse_value("pairs", args.terms)
+    for flag, key in FLAG_KEYS.items():
+        text = getattr(args, flag[2:].replace("-", "_"), None)
+        if text is not None:
+            set_key(cfg, key, text)
     if getattr(args, "out", None):
         cfg.directory = args.out
     return cfg
+
+
+def _check_config(cfg: RunConfig):
+    """(spec, grid, StepperConfig, perturbation) of a config, after checking
+    all of it, certificate settings included: a setting that cannot run
+    fails here, before any front work."""
+    spec = operator_from_config(cfg)
+    grid = make_grid(cfg.n, cfg.length)
+    stepper_cfg = StepperConfig(
+        dt=cfg.dt, t_end=cfg.t_end, gamma=cfg.gamma, dealias=cfg.dealias,
+        record_every=cfg.record_every, snapshot_every=cfg.snapshot_every,
+        p_list=cfg.p_list,
+    )
+    v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
+    check_settings(cfg.eps_samples, cfg.fd_points)
+    return spec, grid, stepper_cfg, v0
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +103,8 @@ def _config_from_args(args) -> RunConfig:
 
 def cmd_front(args) -> int:
     cfg = _config_from_args(args)
-    front = front_for_operator(operator_from_config(cfg),
-                               make_grid(cfg.n, cfg.length), tol=args.tol)
+    spec, grid, _, _ = _check_config(cfg)
+    front = front_for_operator(spec, grid, tol=cfg.front_tol)
     saved = runio.write_profile(args.out or "profile", front)
     hyp = front.hypothesis
     monotone = float(np.max(front.phi_prime.values)) <= 1e-10
@@ -114,11 +132,12 @@ def _parse_sweep_range(text: str) -> list[float]:
 
 
 def cmd_certify(args) -> int:
-    eps = parse_value("floats", args.eps) if args.eps else DEFAULT_EPS_SAMPLES
+    cfg = _config_from_args(args)
+    spec, grid, _, _ = _check_config(cfg)
     if args.sweep_nu:
         values = _parse_sweep_range(args.sweep_nu)
-        rows, threshold = sweep_nu(values, eps_samples=eps, m=args.fd_points,
-                                   threads=args.threads)
+        rows, threshold = sweep_nu(values, eps_samples=cfg.eps_samples,
+                                   m=cfg.fd_points, threads=args.threads)
         out = Path(args.out or "sweep.csv")
         runio.write_sweep_csv(out, rows)
         for r in rows:
@@ -132,12 +151,9 @@ def cmd_certify(args) -> int:
     if args.profile:
         front = runio.read_profile(args.profile)
     else:
-        cfg = _config_from_args(args)
-        front = front_for_operator(operator_from_config(cfg),
-                                   make_grid(cfg.n, cfg.length),
-                                   tol=cfg.front_tol)
+        front = front_for_operator(spec, grid, tol=cfg.front_tol)
     try:
-        cert = certify_front(front, eps_samples=eps, m=args.fd_points)
+        cert = certify_front(front, eps_samples=cfg.eps_samples, m=cfg.fd_points)
     except CertificationError as exc:
         print(f"unresolved certificate: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
@@ -151,17 +167,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.satisfied else EXIT_CERTIFICATION
 
 
-def _run_pipeline(cfg: RunConfig) -> tuple[int, dict, str]:
-    """Exit status, summary and the instability abort's message ("" if none)."""
-    spec = operator_from_config(cfg)
-    grid = make_grid(cfg.n, cfg.length)
-    # bad stepper or perturbation settings fail before the front work
-    stepper_cfg = StepperConfig(
-        dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme, gamma=cfg.gamma,
-        dealias=cfg.dealias, record_every=cfg.record_every,
-        snapshot_every=cfg.snapshot_every, p_list=cfg.p_list,
-    )
-    v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
+def _run_pipeline(cfg: RunConfig, checked) -> tuple[int, dict, str]:
+    """Exit status, summary and the instability abort's message ("" if none)
+    of a config and its `_check_config` result."""
+    spec, grid, stepper_cfg, v0 = checked
     front = front_for_operator(spec, grid, tol=cfg.front_tol)
     cert = None
     try:
@@ -213,7 +222,7 @@ def _run_pipeline(cfg: RunConfig) -> tuple[int, dict, str]:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    status, summary, _ = _run_pipeline(cfg)
+    status, summary, _ = _run_pipeline(cfg, _check_config(cfg))
     print(f"run directory          {cfg.directory}")
     print(f"monotonicity           {summary['monotonicity_violations']} violations "
           f"(max uptick {summary['max_relative_uptick']:.2e})")
@@ -228,23 +237,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
-    spec = operator_from_config(cfg)
+    spec, grid, stepper_cfg, v0 = _check_config(cfg)
     if not spec.is_zero:
         print("the exact solution applies to the pure Burgers case only "
               "(operator must be 0)", file=sys.stderr)
         return EXIT_USAGE
-    grid = make_grid(cfg.n, cfg.length)
-    front = front_for_operator(spec, grid, tol=cfg.front_tol)
-    v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
-    u0 = Field(grid, front.phi.values + v0.values)
     times = sorted(float(t) for t in args.times.split(","))
+    front = front_for_operator(spec, grid, tol=cfg.front_tol)
+    u0 = Field(grid, front.phi.values + v0.values)
     worst = 0.0
     for t in times:
         steps = max(1, int(round(t / cfg.dt)))
-        run_cfg = StepperConfig(dt=t / steps, t_end=t, scheme=cfg.scheme,
-                                gamma=cfg.gamma, dealias=cfg.dealias,
-                                record_every=steps, snapshot_every=steps,
-                                p_list=())
+        run_cfg = replace(stepper_cfg, dt=t / steps, t_end=t, record_every=steps,
+                          snapshot_every=steps, p_list=())
         traj = evolve(v0, front, spec, run_cfg)
         _, vf = traj.snapshots[-1]
         y = grid.x - traj.x0_final
@@ -307,37 +312,47 @@ def _parse_p(text: str):
     return text if text == "derivative" else float(text)
 
 
-def _simulate_worker(cfg: RunConfig) -> tuple[str, int, dict, str]:
+def _failure_row(cfg: RunConfig, exc: Exception) -> tuple[str, int, dict, str]:
+    return cfg.directory, _failure_exit(exc), {}, str(exc)
+
+
+def _simulate_worker(job) -> tuple[str, int, dict, str]:
+    cfg, checked = job
     try:
-        return (cfg.directory, *_run_pipeline(cfg))
+        return (cfg.directory, *_run_pipeline(cfg, checked))
     except tuple(FAILURE_EXIT) as exc:
-        return cfg.directory, _failure_exit(exc), {}, str(exc)
+        return _failure_row(cfg, exc)
 
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     key, _, values = args.set.partition("=")
+    key = key.strip()
     # every key but output.directory, which the sweep sets per run
-    rows = {f"{section}.{name}": (attr, kind) for section, name, attr, kind
-            in FIELDS if attr != "directory"}
-    attr, kind = rows.get(key.strip(), (None, None))
-    if attr is None:
+    if key not in KEYS or key == "output.directory":
         print(f"not a sweepable key: {key!r}", file=sys.stderr)
         return EXIT_USAGE
+    attr, kind = KEYS[key]
     base_dir = Path(args.out or "sweep_runs")
-    jobs = []
+    results, jobs = [], []
     # list values contain commas, so list keys separate sweep values with ';'
     for raw in values.split(";" if kind in ("floats", "pairs") else ","):
         raw = raw.strip()
-        sub = replace(cfg, **{attr: parse_value(kind, raw),
-                              "directory": str(base_dir / f"{attr}_{raw}")})
-        jobs.append(sub)
+        sub = replace(cfg, directory=str(base_dir / f"{attr}_{raw}"))
+        set_key(sub, key, raw)
+        # a job that fails the check is a row, and no worker starts it
+        try:
+            jobs.append((sub, _check_config(sub)))
+            results.append(None)
+        except tuple(FAILURE_EXIT) as exc:
+            results.append(_failure_row(sub, exc))
 
     if args.threads > 1:
         with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
-            results = list(pool.map(_simulate_worker, jobs))
+            done = iter(list(pool.map(_simulate_worker, jobs)))
     else:
-        results = [_simulate_worker(j) for j in jobs]
+        done = map(_simulate_worker, jobs)
+    results = [row or next(done) for row in results]
 
     runio.write_sweep_summary(base_dir, results)
     worst = max((status for _, status, _, _ in results), default=0)
@@ -354,17 +369,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("front", help="solve a steady front profile")
-    _add_operator_flags(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    _add_key_flags(p, *_OPERATOR_FLAGS, "--tol")
     p.add_argument("--out", default=None, help="output base path")
     p.set_defaults(func=cmd_front)
 
     p = sub.add_parser("certify", help="count negative eigenvalues of the "
                                        "front's Schrodinger operators")
-    _add_operator_flags(p)
+    _add_key_flags(p, *_OPERATOR_FLAGS, "--eps", "--fd-points")
     p.add_argument("--profile", default=None, help="existing profile base path")
-    p.add_argument("--eps", default=None, help="comma list of eps samples")
-    p.add_argument("--fd-points", type=int, default=2000)
     p.add_argument("--sweep-nu", default=None, metavar="START:STOP:STEP")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
@@ -374,16 +386,15 @@ def main(argv=None) -> int:
                                         "the run directory")
     p.add_argument("--config", required=True, help="INI configuration file")
     p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument("--seed", type=int, default=None)
+    _add_key_flags(p, "--seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="compare the solver against the exact "
                                       "pure-Burgers solution")
-    _add_operator_flags(p)
+    _add_key_flags(p, *_OPERATOR_FLAGS, "--seed")
     p.add_argument("--config", default=None)
     p.add_argument("--times", default="1.0", help="comma list of times")
     p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("rates", help="fit decay exponents and check them "

@@ -1,8 +1,9 @@
 """Run configuration: flat INI-style text with [section] headers.
 
-Every key is one row of FIELDS, which drives parsing, writing and
-`frontlab sweep --set`; a config round-trips bit-identically through
-to_ini/from_ini once in canonical form.
+Every key is one row of FIELDS, which drives parsing, writing and the
+`frontlab` flags and `sweep --set`; a config round-trips bit-identically
+through to_ini/from_ini once in canonical form.  RunConfig's defaults are
+the only ones: library signatures name them as `RunConfig.<field>`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 from .symbols import MultiplierSpec, preset, spec_from_text
 
-__all__ = ["FIELDS", "RunConfig", "operator_from_config", "parse_value"]
+__all__ = ["FIELDS", "KEYS", "RunConfig", "operator_from_config", "parse_value",
+           "set_key"]
 
 
 @dataclass
@@ -37,7 +39,6 @@ class RunConfig:
     width: float = 1.0
     seed: int = 0
     # stepper
-    scheme: str = "etdrk4"
     dt: float = 2e-3
     gamma: float = 1.1
     dealias: bool = True
@@ -84,14 +85,7 @@ class RunConfig:
             if section not in _SECTIONS:
                 raise ValueError(f"unknown config section [{section}]")
             for key, raw in cp[section].items():
-                row = _ROWS.get((section, key))
-                if row is None:
-                    raise ValueError(f"unknown config key {section}.{key}")
-                attr, kind = row
-                try:
-                    setattr(cfg, attr, parse_value(kind, raw))
-                except ValueError as exc:
-                    raise ValueError(f"{section}.{key}: {exc}") from None
+                set_key(cfg, f"{section}.{key}", raw)
         return cfg
 
     def snapshot(self) -> dict:
@@ -117,7 +111,6 @@ FIELDS = (
     ("perturbation", "amplitude", "amplitude", "float"),
     ("perturbation", "width", "width", "float"),
     ("perturbation", "seed", "seed", "int"),
-    ("stepper", "scheme", "scheme", "str"),
     ("stepper", "dt", "dt", "float"),
     ("stepper", "gamma", "gamma", "float"),
     ("stepper", "dealias", "dealias", "bool"),
@@ -130,7 +123,8 @@ FIELDS = (
     ("diagnostics", "model", "model", "str"),
     ("output", "directory", "directory", "str"),
 )
-_ROWS = {(section, key): (attr, kind) for section, key, attr, kind in FIELDS}
+# "section.key" -> (RunConfig attribute, value type)
+KEYS = {f"{section}.{key}": (attr, kind) for section, key, attr, kind in FIELDS}
 _SECTIONS = {section for section, _, _, _ in FIELDS}
 _EMPTY = (None, "", ())
 
@@ -152,6 +146,17 @@ def parse_value(kind: str, text: str):
             raise ValueError(f"not a boolean: {text!r}")
         return states[text.lower()]
     return {"str": str, "int": int, "float": float}[kind](text)
+
+
+def set_key(cfg: RunConfig, key: str, text: str) -> None:
+    """Set the field of config key "section.key" from its INI text."""
+    if key not in KEYS:
+        raise ValueError(f"unknown config key {key}")
+    attr, kind = KEYS[key]
+    try:
+        setattr(cfg, attr, parse_value(kind, text))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _format_value(kind: str, value) -> str:

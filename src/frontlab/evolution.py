@@ -35,6 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
+from .config import RunConfig
 from .diagnostics import NormSeries
 from .fronts import FrontProfile, ref_profile
 from .spectral import Field, Grid, lp_norm, weighted_l2
@@ -62,18 +63,15 @@ class StabilityError(RuntimeError):
 class StepperConfig:
     dt: float
     t_end: float
-    scheme: str = "etdrk4"          # etdrk4 | imex2
-    gamma: float = 1.1
-    dealias: bool = True
+    gamma: float = RunConfig.gamma
+    dealias: bool = RunConfig.dealias
     record_every: int = 10          # series record cadence, in steps
     snapshot_every: int = 0         # field snapshot cadence, 0 disables
-    p_list: tuple = (1.5, 3.0, 4.0)
+    p_list: tuple = RunConfig.p_list
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("time step and horizon must be positive")
-        if self.scheme not in ("etdrk4", "imex2"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.gamma <= 1.0:
             raise ValueError("modulation gain must exceed 1 for endpoints (1,-1)")
         NormSeries(self.p_list)  # rejects a p < 1 or two p with one column
@@ -171,7 +169,7 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Steppers on the augmented state [v_hat, x0]
+# The ETDRK4 stepper on the augmented state [v_hat, x0]
 
 
 def _phi_series(z, order):
@@ -199,12 +197,9 @@ def _phi_series(z, order):
 class _EtdRk4:
     """Cox-Matthews ETDRK4 for z' = L z + N(z) with diagonal L."""
 
-    order = 4
-
     def __init__(self, lin: np.ndarray, dt: float):
         c = lin * dt
         half = 0.5 * c
-        self.dt = dt
         self.e_full = np.exp(c)
         self.e_half = np.exp(half)
         self.q = 0.5 * dt * _phi_series(half, 1)
@@ -233,35 +228,9 @@ class _EtdRk4:
         return out, aux
 
 
-class _Imex2:
-    """Two-stage second-order IMEX (ARS(2,2,2)); the diagonal implicit
-    solves are divisions."""
-
-    order = 2
-
-    def __init__(self, lin: np.ndarray, dt: float):
-        g = 1.0 - 1.0 / np.sqrt(2.0)
-        self.dt = dt
-        self.g = g
-        self.delta = 1.0 - 1.0 / (2.0 * g)
-        self.solve = 1.0 / (1.0 - dt * g * lin)
-        self.lin = lin
-
-    def advance(self, z, nonlin):
-        dt, g, d = self.dt, self.g, self.delta
-        n0, aux = nonlin(z)
-        u1 = self.solve * (z + dt * g * n0)
-        n1, _ = nonlin(u1)
-        u2 = self.solve * (
-            z + dt * (d * n0 + (1.0 - d) * n1) + dt * (1.0 - g) * self.lin * u1
-        )
-        return u2, aux
-
-
 def make_stepper(ws: _Workspace, config: StepperConfig):
     lin = np.append(ws.lin, 0.0)  # x0 carries no linear part
-    cls = _EtdRk4 if config.scheme == "etdrk4" else _Imex2
-    return cls(lin, config.dt), ws.nonlinear_hat
+    return _EtdRk4(lin, config.dt), ws.nonlinear_hat
 
 
 @dataclass

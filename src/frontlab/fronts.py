@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
 
+from .config import RunConfig
 from .spectral import (Field, Grid, derivative, trig_interpolate,
                        trig_interpolate_lattice)
 from .symbols import MultiplierSpec, preset, rescale_symbol
@@ -325,7 +326,8 @@ def _shoot_normalized(a: float, targets: np.ndarray):
     return out[0], out[1]
 
 
-def shoot_local_front(nu: float, grid: Grid, tol: float = 1e-8) -> FrontProfile:
+def shoot_local_front(nu: float, grid: Grid,
+                      tol: float = RunConfig.front_tol) -> FrontProfile:
     """KdV-Burgers front via shooting on the first integral
     nu*phi'' + phi' + (1-phi^2)/2 = 0 (one integration of the profile
     equation using the endpoint limits).  One dense integration from the
@@ -503,7 +505,7 @@ def denormalize_solution(profile: FrontProfile, params: GalileanParams,
 
 
 def front_for_operator(spec: MultiplierSpec, grid: Grid,
-                       tol: float = 1e-8) -> FrontProfile:
+                       tol: float = RunConfig.front_tol) -> FrontProfile:
     """The only front dispatcher: picks the solver for the operator.
 
     burgers -> closed form; kdvb -> shooting; operators without a bounded

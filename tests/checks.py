@@ -10,7 +10,7 @@ import numpy as np
 from frontlab import (Field, apply_multiplier, band_project,
                       kernel_positivity_check, lp_norm, make_grid)
 from frontlab.diagnostics import NormSeries
-from frontlab.evolution import _EtdRk4, _Imex2
+from frontlab.evolution import _EtdRk4
 from frontlab.spectral import weighted_l2
 
 GRID = make_grid(1024, 80.0)
@@ -196,25 +196,18 @@ class HalfSpectrumWorkspace:
 
 
 def half_spectrum_advance(stepper, z, nonlin):
-    """One ETDRK4 or IMEX2 step with fresh arrays for every product and
-    sum, on the coefficients of an `evolution` stepper."""
-    if stepper.order == 4:
-        e_half, q = stepper.e_half, stepper.q
-        n0, aux = nonlin(z)
-        a = e_half * z + q * n0
-        n1, _ = nonlin(a)
-        b = e_half * z + q * n1
-        n2, _ = nonlin(b)
-        cc = e_half * a + q * (2.0 * n2 - n0)
-        n3, _ = nonlin(cc)
-        return (stepper.e_full * z + stepper.f1 * n0 + stepper.f2 * (n1 + n2)
-                + stepper.f3 * n3), aux
-    dt, g, d = stepper.dt, stepper.g, stepper.delta
+    """One ETDRK4 step with fresh arrays for every product and sum, on the
+    coefficients of an `evolution` stepper."""
+    e_half, q = stepper.e_half, stepper.q
     n0, aux = nonlin(z)
-    u1 = stepper.solve * (z + dt * g * n0)
-    n1, _ = nonlin(u1)
-    return stepper.solve * (z + dt * (d * n0 + (1.0 - d) * n1)
-                            + dt * (1.0 - g) * stepper.lin * u1), aux
+    a = e_half * z + q * n0
+    n1, _ = nonlin(a)
+    b = e_half * z + q * n1
+    n2, _ = nonlin(b)
+    cc = e_half * a + q * (2.0 * n2 - n0)
+    n3, _ = nonlin(cc)
+    return (stepper.e_full * z + stepper.f1 * n0 + stepper.f2 * (n1 + n2)
+            + stepper.f3 * n3), aux
 
 
 def half_spectrum_evolve(v0, front, spec, config, disable=()):
@@ -222,8 +215,7 @@ def half_spectrum_evolve(v0, front, spec, config, disable=()):
     the half-spectrum oracle, without its audits and guards; also the
     largest modulus the state ever holds on the masked modes."""
     ws = HalfSpectrumWorkspace(front, spec, config.gamma, config.dealias, disable)
-    scheme = _EtdRk4 if config.scheme == "etdrk4" else _Imex2
-    stepper = scheme(np.concatenate([ws.lin, [0.0]]), config.dt)
+    stepper = _EtdRk4(np.concatenate([ws.lin, [0.0]]), config.dt)
     z = ws.augment(v0.values)
     rows, snapshots, masked_peak = [], [], 0.0
 

@@ -306,6 +306,19 @@ def test_sweep_marks_failed_rows():
     assert threshold == pytest.approx(0.2)
 
 
+def test_sweep_checks_settings_before_shooting(monkeypatch):
+    """Bad certificate settings raise once, before any front is shot,
+    instead of failing every row alike."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front shot for settings that cannot certify")
+
+    monkeypatch.setattr("frontlab.certify.shoot_local_front", no_front)
+    with pytest.raises(ValueError, match="need at least 200 interior points"):
+        sweep_nu([0.4, 1.0], m=100)
+    with pytest.raises(ValueError, match=r"eps samples must lie in \(0, 1\)"):
+        sweep_nu([0.4, 1.0], eps_samples=(0.5, 1.0))
+
+
 def test_sweep_parallel_rows_match_serial():
     serial, t1 = sweep_nu([0.2, 0.3], m=1200, points=1024)
     parallel, t2 = sweep_nu([0.2, 0.3], m=1200, points=1024, threads=2)

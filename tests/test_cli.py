@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -79,6 +80,32 @@ def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["rates", "--run", str(tmp_path), "--model", "bogus"])
     assert exc.value.code == 1
+
+
+def test_usage_error_says_what_was_wrong(capsys):
+    """A leading '-' makes argparse read the operator as an option; the
+    usage error names the flag, not just the usage block."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["front", "--operator", "-(abs(k))^1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: frontlab front")
+    assert "frontlab front: error: argument --operator: expected one argument" in err
+
+
+def test_flags_set_their_config_keys():
+    """Each flag overrides its config key, parsed as that key's INI value."""
+    args = argparse.Namespace(preset="kdvb", nu="0.3", terms="1.0:0.5",
+                              operator="-(abs(k))^1", n="256", length="40",
+                              seed="4", tol="1e-9", eps="0.1,0.5",
+                              fd_points="300")
+    cfg = cli._config_from_args(args)
+    assert (cfg.preset, cfg.nu, cfg.terms, cfg.expression) == \
+        ("kdvb", 0.3, ((1.0, 0.5),), "-(abs(k))^1")
+    assert (cfg.n, cfg.length, cfg.seed, cfg.front_tol) == (256, 40.0, 4, 1e-9)
+    assert (cfg.eps_samples, cfg.fd_points) == ((0.1, 0.5), 300)
+    with pytest.raises(ValueError, match="grid.n"):
+        cli._config_from_args(argparse.Namespace(n="256.5"))
 
 
 @pytest.mark.parametrize("text,offset", [
@@ -327,16 +354,6 @@ def test_certify_sweep_nu_bad_range(tmp_path, capsys, text):
     assert not out.exists()
 
 
-def test_simulate_imex2_scheme(tmp_path):
-    cfg_text = CONFIG.replace("dt = 0.004", "scheme = imex2\ndt = 0.002")
-    cfg = tmp_path / "imex.ini"
-    cfg.write_text(cfg_text)
-    out = tmp_path / "imex_run"
-    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    series = read_series_csv(out / "series.csv")
-    assert series.l2[-1] < series.l2[0]
-
-
 def test_oracle_reads_config(tmp_path):
     cfg = tmp_path / "oracle.ini"
     cfg.write_text(CONFIG.replace("preset = kdvb\nnu = -0.24", "preset = burgers"))
@@ -407,3 +424,60 @@ def test_simulate_bad_p_list_fails_before_front(tmp_path, monkeypatch, capsys,
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["eps =", "fd_points = 100"])
+def test_simulate_bad_certificate_settings_fail_before_front(
+        tmp_path, monkeypatch, capsys, setting):
+    """Certificate settings are checked with the rest of the config, before
+    the front is solved and before the run directory is made."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front solved for a config that cannot run")
+
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"{CONFIG}\n[certificate]\n{setting}\n")
+    out = tmp_path / "bad_run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_certify_sweep_bad_fd_points_fails_fast(tmp_path, monkeypatch, capsys):
+    """Too small a lattice is one error before any front is shot, not one
+    failed row per nu, and no table is written."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front shot for settings that cannot certify")
+
+    monkeypatch.setattr("frontlab.certify.shoot_local_front", no_front)
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["certify", "--sweep-nu", "0.4:2.2:0.6", "--fd-points", "100",
+                    "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: need at least 200 interior points\n"
+    assert not out.exists()
+
+
+def test_sweep_checks_every_run_before_starting_any(tmp_path, monkeypatch):
+    """A run whose config fails the check is a status-1 row that no worker
+    starts; only the other runs solve a front."""
+    fronts = []
+    front_for_operator = cli.front_for_operator
+
+    def counting_front(*args, **kwargs):
+        fronts.append(args)
+        return front_for_operator(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "front_for_operator", counting_front)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    out = tmp_path / "sw"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
+                    "--set", "certificate.fd_points=100,1200"]) == 1
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["1", "0"]
+    assert rows[0]["error"] == "need at least 200 interior points"
+    assert len(fronts) == 1
+    assert not (out / "fd_points_100").exists()

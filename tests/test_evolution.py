@@ -188,8 +188,8 @@ def test_single_mode_linear_decay(grid_std):
     assert got == pytest.approx(np.exp(0.1 * (-km ** 2 - km)), abs=1e-10)
 
 
-def final_state_norm_free(front, spec, v0, dt, t_end, scheme):
-    cfg = StepperConfig(dt=dt, t_end=t_end, scheme=scheme)
+def final_state_norm_free(front, spec, v0, dt, t_end):
+    cfg = StepperConfig(dt=dt, t_end=t_end)
     ws = _Workspace(front, spec, cfg.gamma, cfg.dealias)
     stepper, nonlin = make_stepper(ws, cfg)
     z = ws.augment(v0.values)
@@ -198,21 +198,22 @@ def final_state_norm_free(front, spec, v0, dt, t_end, scheme):
     return np.fft.irfft(z[:-1], front.grid.n)
 
 
-@pytest.mark.parametrize("scheme,expected", [("etdrk4", 16.0), ("imex2", 4.0)])
+# one stepper; the one-value `scheme` parameter keeps the test ids
+@pytest.mark.parametrize("scheme,expected", [("etdrk4", 16.0)])
 def test_temporal_convergence_order(grid_std, burgers_front, scheme, expected):
     spec = preset("burgers")
     v0 = make_perturbation("gaussian", 0.5, 1.0, grid_std)
-    ref = final_state_norm_free(burgers_front, spec, v0, 0.0025 / 8, 0.5, scheme)
+    ref = final_state_norm_free(burgers_front, spec, v0, 0.0025 / 8, 0.5)
     e1 = np.max(np.abs(final_state_norm_free(burgers_front, spec, v0,
-                                             0.0025, 0.5, scheme) - ref))
+                                             0.0025, 0.5) - ref))
     e2 = np.max(np.abs(final_state_norm_free(burgers_front, spec, v0,
-                                             0.00125, 0.5, scheme) - ref))
+                                             0.00125, 0.5) - ref))
     assert e1 / e2 == pytest.approx(expected, rel=0.25)
 
 
 @pytest.mark.parametrize("disable", DISABLE_SETS)
 @pytest.mark.parametrize("dealias", [True, False])
-@pytest.mark.parametrize("scheme", ["etdrk4", "imex2"])
+@pytest.mark.parametrize("scheme", ["etdrk4"])
 def test_evolve_bitwise_equals_half_spectrum_oracle(grid_std, kdvb_front, scheme,
                                                     dealias, disable):
     """Stepping on the retained modes only, with the stage products in
@@ -223,7 +224,7 @@ def test_evolve_bitwise_equals_half_spectrum_oracle(grid_std, kdvb_front, scheme
     spec = preset("kdvb", nu=-6.0 / 25.0)
     v0 = make_perturbation("random_bandlimited", 0.8, 1.3, grid_std, seed=5)
     v0 = Field(grid_std, v0.values + 0.01 * random_field(np.random.default_rng(5)).values)
-    cfg = StepperConfig(dt=0.01, t_end=0.5, scheme=scheme, dealias=dealias,
+    cfg = StepperConfig(dt=0.01, t_end=0.5, dealias=dealias,
                         record_every=5, snapshot_every=10)
     traj = quiet_evolve(v0, kdvb_front, spec, cfg, disable=disable)
     series, snapshots, x0_final, masked_peak = half_spectrum_evolve(
@@ -302,8 +303,6 @@ def test_non_finite_abort_keeps_partial_run(grid_std, burgers_front, monkeypatch
 def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=-1.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        StepperConfig(dt=1e-3, t_end=1.0, scheme="rk99")
     with pytest.raises(ValueError):
         StepperConfig(dt=1e-3, t_end=1.0, gamma=0.9)
 

@@ -157,7 +157,7 @@ def test_readme_config_loads():
     cfg = RunConfig.from_ini(block)
     assert (cfg.preset, cfg.nu, cfg.n, cfg.kind, cfg.amplitude) == \
         ("kdvb", -0.24, 2048, "gaussian", 0.5)
-    assert (cfg.scheme, cfg.p_list, cfg.model) == ("etdrk4", (1.5, 4.0), "kdvb")
+    assert (cfg.p_list, cfg.model) == ((1.5, 4.0), "kdvb")
 
 
 def test_operator_from_config_variants():
