@@ -18,9 +18,9 @@ import numpy as np
 from . import __version__, runio
 from .certify import (CertificationError, certify_front, check_settings,
                       sweep_nu)
-from .config import KEYS, RunConfig, operator_from_config, parse_value, set_key
+from .config import KEYS, RunConfig, operator_from_config, set_key
 from .diagnostics import (check_energy_inequality, compare_to_theorem,
-                          weighted_bound_monitor)
+                          predicted_rate, weighted_bound_monitor)
 from .evolution import (StabilityError, StepperConfig, cole_hopf_exact, evolve,
                      make_perturbation)
 from .fronts import FrontError, front_for_operator
@@ -56,7 +56,9 @@ FLAG_KEYS = {"--preset": "operator.preset", "--nu": "operator.nu",
              "--terms": "operator.terms", "--operator": "operator.expression",
              "--n": "grid.n", "--length": "grid.length",
              "--seed": "perturbation.seed", "--tol": "front.tol",
-             "--eps": "certificate.eps", "--fd-points": "certificate.fd_points"}
+             "--eps": "certificate.eps", "--fd-points": "certificate.fd_points",
+             "--model": "diagnostics.model", "--window": "diagnostics.fit_window",
+             "--delta": "diagnostics.delta"}
 _OPERATOR_FLAGS = ("--preset", "--nu", "--terms", "--operator", "--n", "--length")
 
 
@@ -68,10 +70,10 @@ def _add_key_flags(p, *flags):
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_ini(Path(args.config).read_text())
-    else:
-        cfg = RunConfig()
+    """The defaults, then --config (rates: the run's config), then flags."""
+    cfg = getattr(args, "config", None) or RunConfig()
+    if not isinstance(cfg, RunConfig):
+        cfg = RunConfig.from_ini(Path(cfg).read_text())
     for flag, key in FLAG_KEYS.items():
         text = getattr(args, flag[2:].replace("-", "_"), None)
         if text is not None:
@@ -83,8 +85,8 @@ def _config_from_args(args) -> RunConfig:
 
 def _check_config(cfg: RunConfig):
     """(spec, grid, StepperConfig, perturbation) of a config, after checking
-    all of it, certificate settings included: a setting that cannot run
-    fails here, before any front work."""
+    all of it, certificate and rate settings included: a setting that
+    cannot run fails here, before any front work."""
     spec = operator_from_config(cfg)
     grid = make_grid(cfg.n, cfg.length)
     stepper_cfg = StepperConfig(
@@ -94,7 +96,16 @@ def _check_config(cfg: RunConfig):
     )
     v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
     check_settings(cfg.eps_samples, cfg.fd_points)
+    cfg.window()
+    if cfg.model:
+        for p in _default_p_list(cfg):
+            predicted_rate(cfg.model, p, cfg.delta)
     return spec, grid, stepper_cfg, v0
+
+
+def _default_p_list(cfg: RunConfig) -> list:
+    """The p list, and the derivative for frac_odd: `rates`' default p."""
+    return list(cfg.p_list) + (["derivative"] if cfg.model == "frac_odd" else [])
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +133,14 @@ def cmd_front(args) -> int:
 
 
 def _parse_sweep_range(text: str) -> list[float]:
-    start, stop, step = (float(x) for x in text.split(":"))
+    try:
+        start, stop, step = (float(x) for x in text.split(":"))
+    except ValueError:  # not three fields, or a field that is no number
+        start = stop = step = np.nan
     if not (np.all(np.isfinite([start, stop, step])) and step > 0.0
             and start <= stop):
-        raise ValueError(f"--sweep-nu {text!r}: need finite START <= STOP "
-                         "and STEP > 0")
+        raise ValueError(f"--sweep-nu {text!r}: need finite START:STOP:STEP "
+                         "with START <= STOP and STEP > 0")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
@@ -177,7 +191,7 @@ def _run_pipeline(cfg: RunConfig, checked) -> tuple[int, dict, str]:
         cert = certify_front(front, eps_samples=cfg.eps_samples, m=cfg.fd_points)
     except CertificationError as exc:
         print(f"warning: certificate unresolved ({exc})", file=sys.stderr)
-    writer = runio.RunWriter(cfg.directory, cfg.snapshot(), front, cert)
+    writer = runio.RunWriter(cfg.directory, cfg, front, cert)
 
     status, error = EXIT_OK, ""
     try:
@@ -207,15 +221,8 @@ def _run_pipeline(cfg: RunConfig, checked) -> tuple[int, dict, str]:
     summary["cumulative_l2_sq"] = weighted.cumulative_l2_sq
     writer.finalize(
         version=__version__,
-        operator=spec.label,
-        grid={"n": grid.n, "length": grid.length},
         certificate_satisfied=None if cert is None else cert.satisfied,
-        front_residual=front.residual_sup,
         summary=summary,
-        model=cfg.model,
-        p_list=list(cfg.p_list),
-        fit_window=list(cfg.window()),
-        delta=cfg.delta,
     )
     return status, summary, error
 
@@ -266,21 +273,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    series, meta = runio.read_run(args.run)
-    model = args.model or meta.get("model") or ""
+    series, args.config = runio.read_run(args.run)
+    cfg = _config_from_args(args)
+    model, window, delta = cfg.model, cfg.window(), cfg.delta
     if not model:
-        print("no theorem model given (use --model kdvb|frac_odd)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("no theorem model given (use --model kdvb|frac_odd)")
     p_list = ([_parse_p(p) for p in args.p_list.split(",")] if args.p_list
-              else meta.get("p_list", [2.0]) + (["derivative"]
-                                                if model == "frac_odd" else []))
-    if 2.0 not in [p for p in p_list if p != "derivative"]:
+              else _default_p_list(cfg))
+    if 2.0 not in p_list:
         p_list = [2.0] + p_list
-    window = (parse_value("floats", args.window)
-              if args.window else tuple(meta.get("fit_window",
-                                                 (series.t[-1] / 4, series.t[-1]))))
-    delta = args.delta if args.delta is not None else meta.get("delta", 0.05)
     verdicts = compare_to_theorem(series, model, p_list, window, delta=delta)
     print(f"model {model}, window [{window[0]:g}, {window[1]:g}], delta {delta:g}")
     print(f"{'p':>12} {'rate':>7} {'beta':>6} {'envelope':>9} {'fitted':>8}  verdict")
@@ -400,11 +401,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("rates", help="fit decay exponents and check them "
                                      "against the predicted bounds")
     p.add_argument("--run", required=True, help="run directory")
-    p.add_argument("--model", default=None, choices=["kdvb", "frac_odd"])
+    p.add_argument("--model", default=None, choices=["kdvb", "frac_odd"],
+                   help="sets diagnostics.model")
+    _add_key_flags(p, "--window", "--delta")
     p.add_argument("--p-list", default=None,
                    help="comma list of p values (also: inf, derivative)")
-    p.add_argument("--window", default=None, help="fit window t_min,t_max")
-    p.add_argument("--delta", type=float, default=None)
     p.add_argument("--svg", default=None, help="write a log-log SVG plot")
     p.set_defaults(func=cmd_rates)
 

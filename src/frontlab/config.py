@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .symbols import MultiplierSpec, preset, spec_from_text
 
@@ -54,9 +54,11 @@ class RunConfig:
     directory: str = "run"
 
     def window(self) -> tuple[float, float]:
-        if self.fit_window:
-            return tuple(self.fit_window)
-        return (self.t_end / 4.0, self.t_end)
+        window = tuple(self.fit_window) or (self.t_end / 4.0, self.t_end)
+        if len(window) != 2 or not 0.0 <= window[0] < window[1]:
+            raise ValueError(f"diagnostics.fit_window: need two times "
+                             f"0 <= t0 < t1, got {window}")
+        return window
 
     # -- serialization ----------------------------------------------------
 
@@ -87,10 +89,6 @@ class RunConfig:
             for key, raw in cp[section].items():
                 set_key(cfg, f"{section}.{key}", raw)
         return cfg
-
-    def snapshot(self) -> dict:
-        """JSON image of every field; tuples serialize as lists."""
-        return asdict(self)
 
 
 # One row per INI key: (section, key, RunConfig attribute, value type).

@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .spectral import Field, lp_norms, weighted_l2
 
 __all__ = [
@@ -155,7 +156,7 @@ def fit_rate(times, values, window: tuple[float, float],
                    amplitude=float(np.exp(coeff[0])), r_squared=r2)
 
 
-def predicted_rate(model: str, p: float, delta: float = 0.05):
+def predicted_rate(model: str, p: float, delta: float = RunConfig.delta):
     """(rate, beta) such that the claimed bound is norm <= C*(ln t)^beta / t^rate.
 
     kdvb: 1/2 at p=2; (1-1/p)-delta for 1<p<2; 1/p for p>2 (no log).
@@ -203,7 +204,7 @@ class TheoremVerdict:
 
 def compare_to_theorem(series: NormSeries, model: str,
                        p_list: Sequence, window: tuple[float, float],
-                       delta: float = 0.05) -> list[TheoremVerdict]:
+                       delta: float = RunConfig.delta) -> list[TheoremVerdict]:
     """Envelope verdicts: norm(t) * t^rate / (ln t)^beta must stay within
     a factor 2 of its value at the window start.
 

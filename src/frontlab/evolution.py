@@ -367,7 +367,7 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
 # Exact pure-Burgers solution via the heat substitution
 
 
-def cole_hopf_exact(u0: Field, t: float, query=None):
+def cole_hopf_exact(u0: Field, t: float) -> Field:
     """Exact solution of u_t - u_xx + u*u_x = 0 from heteroclinic data.
 
     With w0 = exp(-(1/2) * int_0^x u0), the solution is
@@ -382,7 +382,7 @@ def cole_hopf_exact(u0: Field, t: float, query=None):
     if t <= 0.0:
         raise ValueError("time must be positive")
     grid = u0.grid
-    x_query = grid.x if query is None else np.atleast_1d(np.asarray(query, float))
+    x = grid.x
 
     # split u0 = c0 + lam0 * ref + w with decaying w; the reference part
     # integrates in closed form, w by spectral antiderivative
@@ -426,12 +426,12 @@ def cole_hopf_exact(u0: Field, t: float, query=None):
         offsets = (mids[:, None] + halfw[:, None] * qx[None, :]).ravel()
         wts = (halfw[:, None] * qw[None, :]).ravel()
 
-        y = x_query[:, None] + offsets[None, :]
-        h_exp = u0_antiderivative(y) + (x_query[:, None] - y) ** 2 / (2.0 * t)
+        y = x[:, None] + offsets[None, :]
+        h_exp = u0_antiderivative(y) + (x[:, None] - y) ** 2 / (2.0 * t)
         h_exp *= -0.5
         h_exp -= np.max(h_exp, axis=1, keepdims=True)
         weight = np.exp(h_exp) * wts[None, :]
-        num = np.sum(((x_query[:, None] - y) / t) * weight, axis=1)
+        num = np.sum(((x[:, None] - y) / t) * weight, axis=1)
         den = np.sum(weight, axis=1)
         return num / den
 
@@ -440,9 +440,7 @@ def cole_hopf_exact(u0: Field, t: float, query=None):
     fine = solve(int(1.5 * n_panels) + 2)
     if np.max(np.abs(coarse - fine)) > 5e-7:
         raise RuntimeError("quadrature did not converge for the exact solution")
-    if query is None:
-        return Field(grid, fine)
-    return fine
+    return Field(grid, fine)
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,9 @@ def _flux_residual(grid: Grid, w: np.ndarray, lin: np.ndarray,
     return res - ref_d2(x) - g
 
 
-def profile_residual(profile: FrontProfile, spec: MultiplierSpec | None = None) -> float:
+def profile_residual(profile: FrontProfile) -> float:
     """Sup norm of -phi'' + phi*phi' - L[phi] via the reference decomposition."""
-    spec = profile.operator if spec is None else spec
-    grid = profile.grid
+    spec, grid = profile.operator, profile.grid
     w = profile.phi.values - ref_profile(grid.x)
     g = operator_on_reference(spec, grid)
     res = _flux_residual(grid, w, grid.k ** 2 - spec.values(grid.k), g)
@@ -355,7 +354,7 @@ def shoot_local_front(nu: float, grid: Grid,
 
 
 def newton_front(spec: MultiplierSpec, grid: Grid,
-                 tol: float = 1e-9) -> FrontProfile:
+                 tol: float = RunConfig.front_tol) -> FrontProfile:
     """Spectral Newton iteration on w in phi = ref + w, starting from w = 0.
 
     The linearized systems are solved in spectral space by preconditioned

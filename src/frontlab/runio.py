@@ -10,19 +10,20 @@ options, and identical inputs give byte-identical files.
   reads back to the same double), booleans as 0/1, anything else with
   str.  Rows end in "\\r\\n", except in verdicts.csv and summary.csv,
   where they end in "\\n".
-- JSON: `to_json` serves config.snapshot, the profile sidecar,
-  certificate.json and meta.json, with sorted keys, a two-space indent,
-  NaN as `NaN` and a final newline in the file.  A numpy scalar is stored
-  as the plain value it holds; any other object without a JSON form
-  raises TypeError.
+- JSON: `to_json` serves the profile sidecar, certificate.json and
+  meta.json, with sorted keys, a two-space indent, NaN as `NaN` and a
+  final newline in the file.  A numpy scalar is stored as the plain value
+  it holds; any other object without a JSON form raises TypeError.
 
-`RunWriter` writes a run directory: config.snapshot, profile.csv/.json,
+`RunWriter` writes a run directory: config.ini, profile.csv/.json,
 certificate.json (the `SpectralCertificate` fields), series.csv,
 fields/t_<stamp>.csv and meta.json; `frontlab rates` adds verdicts.csv.
-series.csv holds `NormSeries.data`, whose keys are its header: t, x0,
-x0_dot, l1, l2, linf, lp_<p:g> for each p of the run's p list, dv_l2,
-weighted, m_sup.  A sweep directory holds one run directory per value
-and summary.csv.
+config.ini (`RunConfig.to_ini()`) is the one copy of the run's settings,
+and `frontlab simulate --config` runs it again; meta.json holds version,
+certificate_satisfied and summary.  series.csv holds `NormSeries.data`,
+whose keys are its header: t, x0, x0_dot, l1, l2, linf, lp_<p:g> for
+each p of the run's p list, dv_l2, weighted, m_sup.  A sweep directory
+holds one run directory per value and summary.csv.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import SpectralCertificate
+from .config import RunConfig
 from .diagnostics import NormSeries
 from .fronts import FrontProfile, HypothesisReport
 from .spectral import Field, make_grid
@@ -192,11 +194,11 @@ class RunWriter:
     """Writes a run directory: its inputs when created, then the
     trajectory and meta.json."""
 
-    def __init__(self, directory, config: dict, front: FrontProfile,
+    def __init__(self, directory, config: RunConfig, front: FrontProfile,
                  cert: SpectralCertificate | None):
         self.dir = Path(directory)
         (self.dir / "fields").mkdir(parents=True, exist_ok=True)
-        write_json(self.dir / "config.snapshot", config)
+        (self.dir / "config.ini").write_text(config.to_ini())
         write_profile(self.dir / "profile", front)
         if cert is not None:
             write_certificate(self.dir / "certificate.json", cert)
@@ -210,13 +212,12 @@ class RunWriter:
         write_json(self.dir / "meta.json", meta)
 
 
-def read_run(directory) -> tuple[NormSeries, dict]:
-    """The series and the metadata of a run directory.  A missing
-    series.csv raises FileNotFoundError; a missing meta.json reads as {}."""
+def read_run(directory) -> tuple[NormSeries, RunConfig]:
+    """The series and the settings of a run directory.  A missing
+    series.csv or config.ini raises FileNotFoundError."""
     directory = Path(directory)
-    series = read_series_csv(directory / "series.csv")
-    meta_path = directory / "meta.json"
-    return series, read_json(meta_path) if meta_path.exists() else {}
+    return (read_series_csv(directory / "series.csv"),
+            RunConfig.from_ini((directory / "config.ini").read_text()))
 
 
 def write_verdicts(directory, verdicts) -> Path:

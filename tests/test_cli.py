@@ -7,6 +7,7 @@ import pytest
 
 from frontlab import cli
 from frontlab.cli import main
+from frontlab.config import RunConfig
 from frontlab.runio import read_profile, read_series_csv
 
 CONFIG = """\
@@ -125,11 +126,12 @@ def test_simulate_run_directory(tmp_path, capsys):
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "monotonicity           0 violations" in printed
-    for name in ("config.snapshot", "series.csv", "meta.json",
+    for name in ("config.ini", "series.csv", "meta.json",
                  "profile.csv", "profile.json", "certificate.json"):
         assert (out / name).exists()
     assert list((out / "fields").glob("t_*.csv"))
     meta = json.loads((out / "meta.json").read_text())
+    assert set(meta) == {"version", "certificate_satisfied", "summary"}
     assert meta["summary"]["monotonicity_violations"] == 0
     assert meta["certificate_satisfied"] is True
 
@@ -145,12 +147,18 @@ def test_simulate_zero_perturbation(tmp_path):
 
 
 def test_simulate_reproducible(tmp_path):
+    """Two runs of one config, and a run of the config.ini a run wrote,
+    give the same bytes."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG)
-    a, b = tmp_path / "a", tmp_path / "b"
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
+    assert run_cli(["simulate", "--config", str(a / "config.ini"),
+                    "--out", str(c)]) == 0
     assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
+    for name in ("series.csv", "profile.csv", "certificate.json"):
+        assert (c / name).read_bytes() == (a / name).read_bytes(), name
 
 
 def test_rates_self_describing(tmp_path, capsys):
@@ -174,6 +182,18 @@ def test_rates_self_describing(tmp_path, capsys):
 
 def test_rates_missing_series(tmp_path):
     assert run_cli(["rates", "--run", str(tmp_path)]) == 1
+
+
+def test_rates_bad_window_names_key(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "run_w"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for window in ("5", "1.0,0.5"):
+        assert run_cli(["rates", "--run", str(out), "--window", window]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: diagnostics.fit_window: ")
 
 
 def test_oracle_thresholds(tmp_path, capsys):
@@ -255,13 +275,13 @@ def test_sweep_reaches_every_key_type(tmp_path):
     out = tmp_path / "sw"
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
                     "--set", "stepper.dealias=false"]) == 0
-    snap = json.loads((out / "dealias_false" / "config.snapshot").read_text())
-    assert snap["dealias"] is False
+    snap = RunConfig.from_ini((out / "dealias_false" / "config.ini").read_text())
+    assert snap.dealias is False
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
                     "--set", "operator.terms=1.0:0.5;0.5:0.5,0.5:0.75"]) == 0
-    snap = json.loads((out / "terms_0.5:0.5,0.5:0.75" / "config.snapshot")
-                      .read_text())
-    assert snap["terms"] == [[0.5, 0.5], [0.5, 0.75]]
+    snap = RunConfig.from_ini((out / "terms_0.5:0.5,0.5:0.75" / "config.ini")
+                              .read_text())
+    assert snap.terms == ((0.5, 0.5), (0.5, 0.75))
     assert (out / "terms_1.0:0.5" / "series.csv").exists()
 
 
@@ -318,7 +338,7 @@ def test_simulate_instability_exit_code(tmp_path):
     out = tmp_path / "blow_run"
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
     # the run directory still holds the inputs for post-mortem work
-    assert (out / "config.snapshot").exists()
+    assert (out / "config.ini").exists()
     assert (out / "profile.csv").exists()
     # and the run up to the abort: the guard fires before the first step
     assert read_series_csv(out / "series.csv").t == [0.0]
@@ -346,11 +366,12 @@ def test_sweep_keeps_aborted_run(tmp_path):
     assert rows[str(out / "amplitude_0.3")]["status"] == "0"
 
 
-@pytest.mark.parametrize("text", ["0.4:1.6:0", "0.4:1.6:-0.6", "1.6:0.4:0.6"])
+@pytest.mark.parametrize("text", ["0.4:1.6:0", "0.4:1.6:-0.6", "1.6:0.4:0.6",
+                                  "1:2", "1:2:0.5:4", "1:x:0.5"])
 def test_certify_sweep_nu_bad_range(tmp_path, capsys, text):
     out = tmp_path / "sweep.csv"
     assert run_cli(["certify", "--sweep-nu", text, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: --sweep-nu {text!r}: ")
     assert not out.exists()
 
 
@@ -409,17 +430,36 @@ def test_simulate_bad_cadence_fails_before_front(tmp_path, monkeypatch):
                     "--out", str(tmp_path / "bad_run")]) == 1
 
 
-@pytest.mark.parametrize("p_list", ["0.5", "1.5,1.5000001"])
+@pytest.mark.parametrize("p_list", ["0.5", "1.5,1.5000001", "1,4"])
 def test_simulate_bad_p_list_fails_before_front(tmp_path, monkeypatch, capsys,
                                                 p_list):
-    """p < 1, or two p that share one lp_<p:g> column, is rejected before
-    the front is solved and before the run directory is made."""
+    """p < 1, two p that share one lp_<p:g> column, or a p the model makes
+    no claim for (kdvb at p = 1), is rejected before the front is solved
+    and before the run directory is made."""
     def no_front(*args, **kwargs):
         raise AssertionError("front solved for a config that cannot run")
 
     monkeypatch.setattr(cli, "front_for_operator", no_front)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(CONFIG.replace("p_list = 1.5,4", f"p_list = {p_list}"))
+    out = tmp_path / "bad_run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("diagnostics", ["fit_window = 5", "fit_window = 0.3,0.1",
+                                         "model = bogus"])
+def test_simulate_bad_diagnostics_fail_before_front(tmp_path, monkeypatch, capsys,
+                                                    diagnostics):
+    """A fit window or model that `rates` would reject fails before the
+    front is solved, not after the whole run."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front solved for a config that cannot run")
+
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(CONFIG.replace("model = kdvb", diagnostics))
     out = tmp_path / "bad_run"
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -282,7 +282,7 @@ def test_shooting_rejects_zero_nu(grid_std):
 
 
 def test_newton_burgers_exact_guess(grid_std, burgers_front):
-    prof = newton_front(preset("burgers"), grid_std)
+    prof = newton_front(preset("burgers"), grid_std, tol=1e-9)
     assert prof.residual_sup <= 1e-12
     assert np.max(np.abs(prof.phi.values - burgers_front.phi.values)) <= 1e-12
 

@@ -100,15 +100,15 @@ def test_run_directory_round_trips(tmp_path):
         assert main(["simulate", "--config", str(ini)]) == 0
     fields = sorted((run_dir / "fields").glob("t_*.csv"))
     assert len(fields) == 2
-    again = RunWriter(copy, read_json(run_dir / "config.snapshot"),
-                      read_profile(run_dir / "profile"),
+    series, run_cfg = read_run(run_dir)
+    assert run_cfg == cfg
+    again = RunWriter(copy, run_cfg, read_profile(run_dir / "profile"),
                       read_certificate(run_dir / "certificate.json"))
-    series, meta = read_run(run_dir)
     snapshot = (float(fields[-1].stem[2:]), read_field_csv(fields[-1]))
     again.write_trajectory(series, [snapshot])
-    again.finalize(**meta)
+    again.finalize(**read_json(run_dir / "meta.json"))
     for name in ("profile.csv", "profile.json", "certificate.json",
-                 "config.snapshot", "series.csv", "meta.json",
+                 "config.ini", "series.csv", "meta.json",
                  f"fields/{fields[-1].name}"):
         assert (copy / name).read_bytes() == (run_dir / name).read_bytes(), name
     # tables end their rows in CRLF; JSON files end in one newline
