@@ -20,11 +20,11 @@ from .certify import (CertificationError, certify_front, check_settings,
                       sweep_nu)
 from .config import KEYS, RunConfig, operator_from_config, set_key
 from .diagnostics import (check_energy_inequality, compare_to_theorem,
-                          predicted_rate, weighted_bound_monitor)
+                          predicted_rate, weighted_bound_monitor, window_mask)
 from .evolution import (StabilityError, StepperConfig, cole_hopf_exact, evolve,
                      make_perturbation)
-from .fronts import FrontError, front_for_operator
-from .spectral import Field, make_grid, trig_interpolate
+from .fronts import FrontError, front_for_operator, ref_profile
+from .spectral import Field, make_grid, trig_interpolate_lattice
 from .symbols import SymbolError
 
 EXIT_OK = 0
@@ -96,10 +96,12 @@ def _check_config(cfg: RunConfig):
     )
     v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
     check_settings(cfg.eps_samples, cfg.fd_points)
-    cfg.window()
-    if cfg.model:
-        for p in _default_p_list(cfg):
-            predicted_rate(cfg.model, p, cfg.delta)
+    window = cfg.window()
+    if cfg.model:  # `rates` on the run's own settings: p = 2 and the default p
+        steps = np.arange(round(cfg.t_end / cfg.dt) + 1)  # evolve's record times
+        times = cfg.dt * steps[(steps % cfg.record_every == 0) | (steps == steps[-1])]
+        for p in [2.0] + _default_p_list(cfg):
+            window_mask(times, window, predicted_rate(cfg.model, p, cfg.delta)[1])
     return spec, grid, stepper_cfg, v0
 
 
@@ -259,8 +261,9 @@ def cmd_oracle(args) -> int:
                           snapshot_every=steps, p_list=())
         traj = evolve(v0, front, spec, run_cfg)
         _, vf = traj.snapshots[-1]
-        y = grid.x - traj.x0_final
-        u_num = front.phi_at(y) + trig_interpolate(grid, vf.values, y)
+        y = grid.x - traj.x0_final  # a lattice: one chirp-z transform
+        u_num = ref_profile(y) + trig_interpolate_lattice(
+            grid, front.correction + vf.values, y[0], grid.h, grid.n)
         exact = cole_hopf_exact(u0, t)
         err = float(np.max(np.abs(u_num - exact.values)))
         worst = max(worst, err)

@@ -55,9 +55,9 @@ class RunConfig:
 
     def window(self) -> tuple[float, float]:
         window = tuple(self.fit_window) or (self.t_end / 4.0, self.t_end)
-        if len(window) != 2 or not 0.0 <= window[0] < window[1]:
+        if len(window) != 2 or not 0.0 < window[0] < window[1]:  # fits take ln t
             raise ValueError(f"diagnostics.fit_window: need two times "
-                             f"0 <= t0 < t1, got {window}")
+                             f"0 < t0 < t1, got {window}")
         return window
 
     # -- serialization ----------------------------------------------------

@@ -17,6 +17,7 @@ __all__ = [
     "WeightedReport",
     "check_energy_inequality",
     "fit_rate",
+    "window_mask",
     "predicted_rate",
     "compare_to_theorem",
     "weighted_bound_monitor",
@@ -128,17 +129,23 @@ class RateFit:
     r_squared: float
 
 
+def window_mask(times, window: tuple[float, float], beta: float = 0.0):
+    """Mask of the times in a fit window that `fit_rate` can use, or ValueError."""
+    lo, hi = window
+    mask = (times >= lo) & (times <= hi)
+    problem = ("log-corrected fits need window start >= 2" if beta != 0.0 and lo < 2.0
+               else "under 8 samples" if np.count_nonzero(mask) < 8 else "")
+    if problem:
+        raise ValueError(f"diagnostics.fit_window: {problem} in [{lo:g}, {hi:g}]")
+    return mask
+
+
 def fit_rate(times, values, window: tuple[float, float],
              beta: float = 0.0) -> RateFit:
     """Fit ln(value) - beta*ln(ln t) = ln A + exponent * ln t on a window."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    lo, hi = window
-    if beta != 0.0 and lo < 2.0:
-        raise ValueError("log-corrected fits need window start >= 2")
-    mask = (t >= lo) & (t <= hi)
-    if np.count_nonzero(mask) < 8:
-        raise ValueError("window must contain at least 8 samples")
+    mask = window_mask(t, window, beta)
     if np.any(v[mask] <= 0.0):
         raise ValueError("values must be positive inside the window")
     x = np.log(t[mask])
@@ -151,7 +158,7 @@ def fit_rate(times, values, window: tuple[float, float],
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(window=(float(lo), float(hi)),
+    return RateFit(window=(float(window[0]), float(window[1])),
                    exponent=float(coeff[1]), beta=float(beta),
                    amplitude=float(np.exp(coeff[0])), r_squared=r2)
 
@@ -217,10 +224,7 @@ def compare_to_theorem(series: NormSeries, model: str,
     for p in p_list:
         rate, beta = predicted_rate(model, p, delta)
         norm = series.norm(p)
-        lo, hi = window
-        mask = (t >= lo) & (t <= hi)
-        if np.count_nonzero(mask) < 2:
-            raise ValueError("window contains too few records")
+        mask = window_mask(t, window, beta)
         tt = t[mask]
         comp = norm[mask] * tt ** rate
         if beta != 0.0:

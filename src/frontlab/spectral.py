@@ -228,12 +228,11 @@ def trig_interpolate(grid: Grid, values: np.ndarray, points) -> np.ndarray:
     k = grid.k.copy()
     if grid.n % 2 == 0:
         # split the unpaired Nyquist mode into a real cosine
-        coeffs = coeffs.copy()
         coeffs[grid.n // 2] = coeffs[grid.n // 2].real
     rel = pts + 0.5 * grid.length
     out = np.zeros(pts.shape, dtype=complex)
-    # chunked mode sum keeps memory bounded for large point sets
-    step = max(1, 262144 // max(grid.n, 1))
+    # chunks of 65,536 matrix entries (1 MB) bound memory and stay in cache
+    step = max(1, 65536 // max(grid.n, 1))
     for start in range(0, pts.size, step):
         sl = slice(start, start + step)
         out[sl] = np.exp(1j * np.outer(rel[sl], k)) @ coeffs

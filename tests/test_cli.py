@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from frontlab import cli
 from frontlab.cli import main
 from frontlab.config import RunConfig
 from frontlab.runio import read_profile, read_series_csv
+from frontlab.spectral import Field, trig_interpolate
 
 CONFIG = """\
 [operator]
@@ -35,6 +37,13 @@ snapshot_every = 250
 p_list = 1.5,4
 model = kdvb
 """
+
+
+def short_config(t_end):
+    """CONFIG cut to t_end, with no model: its default fit window holds
+    under 8 records, so with a model `simulate` rejects it."""
+    return CONFIG.replace("t_end = 2.0", f"t_end = {t_end}").replace(
+        "model = kdvb\n", "")
 
 
 def run_cli(args):
@@ -190,7 +199,7 @@ def test_rates_bad_window_names_key(tmp_path, capsys):
     out = tmp_path / "run_w"
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
-    for window in ("5", "1.0,0.5"):
+    for window in ("5", "1.0,0.5", "0,2"):
         assert run_cli(["rates", "--run", str(out), "--window", window]) == 1
         assert capsys.readouterr().err.startswith(
             "error: diagnostics.fit_window: ")
@@ -208,9 +217,35 @@ def test_oracle_rejects_nonzero_operator():
     assert run_cli(["oracle", "--preset", "bo", "--times", "0.5"]) == 1
 
 
+def test_oracle_lattice_matches_dense_interpolation(monkeypatch, capsys):
+    """`oracle` samples phi + v on the grid shifted by x0 with one chirp-z
+    transform. With the run replaced by a fixed v and shift x0 (one of them
+    negative), and the exact solution by the dense `phi_at +
+    trig_interpolate` pair, each printed discrepancy is the gap between the
+    two samplings: at most 1e-12 of max|u|."""
+    shifts = {0.5: 0.37, 1.0: -2.71, 1.5: 6.4}
+    dense = {}
+
+    def fixed_run(v0, front, spec, config):
+        grid, x0 = v0.grid, shifts[config.t_end]
+        v = Field(grid, 0.3 * np.exp(-(grid.x - 1.0) ** 2) * np.cos(2.0 * grid.x))
+        y = grid.x - x0
+        dense[config.t_end] = front.phi_at(y) + trig_interpolate(grid, v.values, y)
+        return SimpleNamespace(snapshots=[(config.t_end, v)], x0_final=x0)
+
+    monkeypatch.setattr(cli, "evolve", fixed_run)
+    monkeypatch.setattr(cli, "cole_hopf_exact",
+                        lambda u0, t: Field(u0.grid, dense[t]))
+    assert run_cli(["oracle", "--preset", "burgers", "--times", "0.5,1,1.5"]) == 0
+    gaps = [float(line.split()[-1]) for line in capsys.readouterr().out.splitlines()]
+    assert len(gaps) == 3
+    scale = max(float(np.max(np.abs(u))) for u in dense.values())
+    assert max(gaps) <= 1e-12 * scale
+
+
 def test_sweep_runs(tmp_path):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    cfg.write_text(short_config(0.5))
     out = tmp_path / "sw"
     code = run_cli(["sweep", "--config", str(cfg),
                     "--set", "perturbation.amplitude=0.1,0.2",
@@ -227,7 +262,7 @@ def test_sweep_runs(tmp_path):
 def test_sweep_threads_match_serial(tmp_path):
     """Runs sent to worker processes write the same series as serial runs."""
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    cfg.write_text(short_config(0.5))
     for threads in ("1", "2"):
         assert run_cli(["sweep", "--config", str(cfg),
                         "--set", "perturbation.amplitude=0.1,0.2",
@@ -241,7 +276,7 @@ def test_sweep_threads_match_serial(tmp_path):
 def test_sweep_keeps_finished_runs(tmp_path):
     """A run that raises becomes a row; the finished runs stay listed."""
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    cfg.write_text(short_config(0.5))
     out = tmp_path / "sw"
     code = run_cli(["sweep", "--config", str(cfg),
                     "--set", "perturbation.kind=gaussian,nonsense",
@@ -269,9 +304,8 @@ def test_sweep_unknown_key(tmp_path):
 def test_sweep_reaches_every_key_type(tmp_path):
     """A bool key and a list key, whose values are separated by ';'."""
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.2")
-                   .replace("preset = kdvb\nnu = -0.24",
-                            "preset = frac\nterms = 1.0:0.5"))
+    cfg.write_text(short_config(0.2).replace("preset = kdvb\nnu = -0.24",
+                                             "preset = frac\nterms = 1.0:0.5"))
     out = tmp_path / "sw"
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
                     "--set", "stepper.dealias=false"]) == 0
@@ -351,7 +385,7 @@ def test_simulate_instability_exit_code(tmp_path):
 def test_sweep_keeps_aborted_run(tmp_path):
     """An instability abort is a row with status 3 and the run so far."""
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    cfg.write_text(short_config(0.5))
     out = tmp_path / "sw"
     code = run_cli(["sweep", "--config", str(cfg),
                     "--set", "perturbation.amplitude=0.3,30",
@@ -449,7 +483,7 @@ def test_simulate_bad_p_list_fails_before_front(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("diagnostics", ["fit_window = 5", "fit_window = 0.3,0.1",
-                                         "model = bogus"])
+                                         "model = bogus", "fit_window = 0,2"])
 def test_simulate_bad_diagnostics_fail_before_front(tmp_path, monkeypatch, capsys,
                                                     diagnostics):
     """A fit window or model that `rates` would reject fails before the
@@ -464,6 +498,42 @@ def test_simulate_bad_diagnostics_fail_before_front(tmp_path, monkeypatch, capsy
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("diagnostics, message", [
+    # frac_odd's log-corrected claims; the default window starts at t = 0.5
+    ("model = frac_odd", "log-corrected fits need window start >= 2 in [0.5, 2]"),
+    # records every 0.1 up to t_end = 2: none in [10, 20], 7 in [1.35, 2]
+    ("model = kdvb\nfit_window = 10,20", "under 8 samples in [10, 20]"),
+    ("model = kdvb\nfit_window = 1.35,2", "under 8 samples in [1.35, 2]")])
+def test_simulate_window_rates_cannot_fit_fails_before_front(
+        tmp_path, monkeypatch, capsys, diagnostics, message):
+    """A fit window that `rates` could not fit on the run's own records
+    fails before the front is solved, with the error that `rates` gives."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front solved for a config that cannot run")
+
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(CONFIG.replace("model = kdvb", diagnostics))
+    out = tmp_path / "bad_run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: diagnostics.fit_window: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_window_check_counts_what_rates_counts(tmp_path, capsys):
+    """A window with exactly 8 records passes the check, and `rates` fits it;
+    one record fewer is the failing case of the test above."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG + "fit_window = 1.3,2\n")
+    out = tmp_path / "run8"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run_cli(["rates", "--run", str(out)]) in (0, 2)
+    assert "model kdvb, window [1.3, 2]" in capsys.readouterr().out
+    assert run_cli(["rates", "--run", str(out), "--window", "1.35,2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: diagnostics.fit_window: under 8 samples in [1.35, 2]\n")
 
 
 @pytest.mark.parametrize("setting", ["eps =", "fd_points = 100"])
@@ -511,7 +581,7 @@ def test_sweep_checks_every_run_before_starting_any(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "front_for_operator", counting_front)
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 0.5"))
+    cfg.write_text(short_config(0.5))
     out = tmp_path / "sw"
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(out),
                     "--set", "certificate.fd_points=100,1200"]) == 1

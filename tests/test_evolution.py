@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,10 +12,10 @@ from frontlab import (Field, StabilityError, StepperConfig,
 from frontlab import evolution
 from frontlab.evolution import _Workspace, make_stepper
 from frontlab.fronts import reference_front
-from frontlab.spectral import trig_interpolate
+from frontlab.spectral import Grid, trig_interpolate
 
-from checks import (HalfSpectrumWorkspace, dealias_mask, full_tendency,
-                    half_spectrum_evolve, random_field)
+from checks import (HalfSpectrumWorkspace, cole_hopf_whole_array, dealias_mask,
+                    full_tendency, half_spectrum_evolve, random_field)
 
 
 def quiet_evolve(*args, **kwargs):
@@ -415,6 +416,37 @@ def test_cole_hopf_constant(grid_std):
 def test_cole_hopf_requires_positive_time(grid_std):
     with pytest.raises(ValueError):
         cole_hopf_exact(Field.zeros(grid_std), 0.0)
+
+
+def cole_hopf_data(n, length):
+    """Two initial data on an n-point box: the Burgers front plus a bump at
+    t = 1, and a scaled, lifted front plus a wave packet at t = 0.5."""
+    x = Grid(n, length).x
+    return [(Field(Grid(n, length), -np.tanh(0.5 * x) + 0.3 * np.exp(-x ** 2)), 1.0),
+            (Field(Grid(n, length), 0.2 - 0.6 * np.tanh(0.5 * x)
+                   + 0.4 * np.sin(3.0 * x) * np.exp(-(x - 1.0) ** 2 / 4.0)), 0.5)]
+
+
+@pytest.mark.parametrize("n", [1024, 1000])
+def test_cole_hopf_row_blocks_equal_whole_array(n):
+    """Blocks of rows of x give the whole-array quadrature to the bit, also
+    when n is no multiple of the block size."""
+    for u0, t in cole_hopf_data(n, 80.0):
+        assert np.array_equal(cole_hopf_exact(u0, t).values,
+                              cole_hopf_whole_array(u0, t).values)
+
+
+def test_cole_hopf_memory_is_bounded_by_row_blocks():
+    """At n = 4096 the whole-array quadrature traces a 128 MB peak; the
+    row blocks keep it below 20 MB."""
+    u0, t = cole_hopf_data(4096, 160.0)[0]
+    tracemalloc.start()
+    try:
+        cole_hopf_exact(u0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_cole_hopf_cross_validates_solver(grid_std, burgers_front, burgers_cert):

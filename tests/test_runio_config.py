@@ -91,7 +91,7 @@ def test_run_directory_round_trips(tmp_path):
     runio and written again, gives the same bytes."""
     run_dir, copy = tmp_path / "run", tmp_path / "copy"
     cfg = RunConfig(preset="kdvb", nu=-0.24, n=256, length=40.0, dt=0.01,
-                    t_end=0.5, record_every=10, snapshot_every=50,
+                    t_end=0.5, record_every=5, snapshot_every=50,
                     p_list=(1.5, 4.0), model="kdvb", directory=str(run_dir))
     ini = tmp_path / "run.ini"
     ini.write_text(cfg.to_ini())

@@ -10,6 +10,8 @@ from frontlab.evolution import _Workspace
 from frontlab.fronts import shoot_local_front
 from frontlab.spectral import trig_interpolate, trig_interpolate_lattice
 
+from checks import trig_interpolate_262144
+
 
 def test_make_grid_definition():
     g = make_grid(8, 8.0)
@@ -244,6 +246,19 @@ def test_trig_interpolate_reproduces_samples(grid_std):
     values = np.fft.ifft(coeffs).real
     got = trig_interpolate(grid_std, values, grid_std.x[::7])
     assert np.max(np.abs(got - values[::7])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_trig_interpolate_chunks_do_not_change_values(n):
+    """Chunks of 65,536 matrix entries give the values of chunks four times
+    that size to the bit: on a shifted grid, as the oracle uses, and on
+    1,000 scattered points, whose count no chunk size divides."""
+    grid = make_grid(n, 80.0)
+    rng = np.random.default_rng(n)
+    values = np.exp(-grid.x ** 2 / 4.0) * rng.standard_normal(n)
+    for points in (grid.x - 0.37, rng.uniform(-40.0, 40.0, 1000)):
+        assert np.array_equal(trig_interpolate(grid, values, points),
+                              trig_interpolate_262144(grid, values, points))
 
 
 @pytest.mark.slow
