@@ -23,7 +23,8 @@ The state is x0 and the real-FFT modes 0..n/3 of v that the two-thirds
 rule keeps (0..n/2 without dealiasing).  The explicit terms are taken in
 divergence form, with the flux phi*v + v^2/2 formed in physical space and
 phi_hat' precomputed, so one evaluation costs two real FFTs: one irfft
-for v, one rfft for the flux.  Norms come from the modes by Parseval."""
+for v, one rfft for the flux.  Norms come from the modes by Parseval.
+Only the Cole-Hopf oracle uses scipy: scipy.interpolate, at its first call."""
 
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
 from .config import RunConfig
 from .diagnostics import NormSeries
@@ -411,6 +411,7 @@ def cole_hopf_exact(u0: Field, t: float) -> Field:
     anti = np.zeros(nf, dtype=complex)
     anti[1:] = wt_hat[1:] / (1j * kf[1:])
     wt_anti = np.fft.ifft(anti).real
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(xf, wt_anti)
     wt_anti0 = float(spline(0.0))
 

@@ -5,15 +5,18 @@ handled by the Galilean change of frame and scale.  Profiles are stored as
 phi = ref + w where ref(x) = -tanh(x/2) carries the heteroclinic jump
 analytically and the correction w is periodic and decaying, so spectral
 calculus on w is Gibbs-free.
+
+No scipy is imported with this module: shooting imports scipy.integrate
+at its first shot, Newton scipy.sparse.linalg at its first solve.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
 
 from .config import RunConfig
 from .spectral import (Field, Grid, derivative, trig_interpolate,
@@ -233,39 +236,53 @@ def reference_front(grid: Grid, spec: MultiplierSpec) -> FrontProfile:
                           "reference", phi_second=ref_d2(x), exact=False)
 
 
-class _TaylorDense(DenseOutput):
-    def __init__(self, t_old, t, coef):
-        super().__init__(t_old, t)
-        self.coef = coef  # one step's Taylor coefficients of phi and phi'
-
-    def _call_impl(self, t):
-        return np.polynomial.polynomial.polyval(t - self.t_old, self.coef)
+def solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp; scipy.integrate is imported at the first shot."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
-class _ProfileTaylor(OdeSolver):
-    """Order-24 Taylor stepper for y = (phi, phi'), forward in x only and
-    without calls to `fun`; see `_shoot_normalized`."""
+@functools.cache
+def __getattr__(name):
+    """PEP 562: `_ProfileTaylor`, built at the first shot on scipy's bases."""
+    if name != "_ProfileTaylor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import DenseOutput, OdeSolver
 
-    def __init__(self, fun, t0, y0, t_bound, vectorized, a):
-        super().__init__(fun, t0, y0, t_bound, vectorized)
-        self.a = float(a)
+    class _TaylorDense(DenseOutput):
+        def __init__(self, t_old, t, coef):
+            super().__init__(t_old, t)
+            self.coef = coef  # one step's Taylor coefficients of phi and phi'
 
-    def _step_impl(self):
-        a, n = self.a, 24
-        c = [float(self.y[0]), float(self.y[1])]
-        for k in range(n - 1):
-            conv = sum(c[j] * c[k - j] for j in range(k + 1)) - (k == 0)
-            c.append((0.5 * conv - (k + 1) * c[k + 1]) / (a * (k + 1) * (k + 2)))
-        tol = 1e-16 * max(1.0, abs(c[0]), abs(c[1]))
-        h = min([0.8 * (tol / abs(c[m])) ** (1.0 / m) for m in (n - 1, n) if c[m]]
-                + [self.t_bound - self.t])
-        self.coef = np.array([c, [k * c[k] for k in range(1, n + 1)] + [0.0]]).T
-        self.y = np.polynomial.polynomial.polyval(h, self.coef)
-        self.t_old, self.t = self.t, min(self.t + h, self.t_bound)
-        return h > 0.0, None  # a zero or nan step (non-finite state) fails
+        def _call_impl(self, t):
+            return np.polynomial.polynomial.polyval(t - self.t_old, self.coef)
 
-    def _dense_output_impl(self):
-        return _TaylorDense(self.t_old, self.t, self.coef)
+    class _ProfileTaylor(OdeSolver):
+        """Order-24 Taylor stepper for y = (phi, phi'), forward in x only and
+        without calls to `fun`; see `_shoot_normalized`."""
+
+        def __init__(self, fun, t0, y0, t_bound, vectorized, a):
+            super().__init__(fun, t0, y0, t_bound, vectorized)
+            self.a = float(a)
+
+        def _step_impl(self):
+            a, n = self.a, 24
+            c = [float(self.y[0]), float(self.y[1])]
+            for k in range(n - 1):
+                conv = sum(c[j] * c[k - j] for j in range(k + 1)) - (k == 0)
+                c.append((0.5 * conv - (k + 1) * c[k + 1]) / (a * (k + 1) * (k + 2)))
+            tol = 1e-16 * max(1.0, abs(c[0]), abs(c[1]))
+            h = min([0.8 * (tol / abs(c[m])) ** (1.0 / m) for m in (n - 1, n) if c[m]]
+                    + [self.t_bound - self.t])
+            self.coef = np.array([c, [k * c[k] for k in range(1, n + 1)] + [0.0]]).T
+            self.y = np.polynomial.polynomial.polyval(h, self.coef)
+            self.t_old, self.t = self.t, min(self.t + h, self.t_bound)
+            return h > 0.0, None  # a zero or nan step (non-finite state) fails
+
+        def _dense_output_impl(self):
+            return _TaylorDense(self.t_old, self.t, self.coef)
+
+    return _ProfileTaylor
 
 
 def _shoot_normalized(a: float, targets: np.ndarray):
@@ -311,7 +328,8 @@ def _shoot_normalized(a: float, targets: np.ndarray):
     # before log(1/delta)/r
     rate = (-1.0 + np.sqrt(1.0 + 2.0 * a)) / (2.0 * a)
     span = np.log(1.0 / delta) / rate + float(np.max(targets)) + 1.0
-    sol = solve_ivp(rhs, (0.0, span), manifold(0.0), method=_ProfileTaylor, a=a,
+    sol = solve_ivp(rhs, (0.0, span), manifold(0.0),
+                    method=__getattr__("_ProfileTaylor"), a=a,
                     dense_output=True, events=(crossing, blowup))
     if sol.status != 0 or sol.t_events[0].size == 0:
         raise FrontError(f"shooting integration failed for nu={a:g}")

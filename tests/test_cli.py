@@ -1,11 +1,16 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import frontlab
 from frontlab import cli
 from frontlab.cli import main
 from frontlab.config import RunConfig
@@ -211,6 +216,37 @@ def test_oracle_thresholds(tmp_path, capsys):
     assert run_cli(args + ["--threshold", "1e-6"]) == 0
     # documented over-strict case: same run, absurd threshold
     assert run_cli(args + ["--threshold", "1e-15"]) == 2
+
+
+def no_front(*args, **kwargs):
+    raise AssertionError("front solved for settings that cannot run")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+def test_oracle_rejects_bad_threshold(monkeypatch, capsys, threshold):
+    """`worst > nan` is False, so a nan threshold once passed every run."""
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
+    assert run_cli(["oracle", "--preset", "burgers", "--n", "256",
+                    "--length", "40", "--times", "0.5",
+                    "--threshold", threshold]) == 1
+    assert capsys.readouterr().err.startswith("error: --threshold ")
+
+
+@pytest.mark.parametrize("text", ["nan", "0.5,", "inf", "0", "-0.5", "x", ""])
+def test_oracle_rejects_bad_times(monkeypatch, capsys, text):
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
+    assert run_cli(["oracle", "--preset", "burgers", "--times", text]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --times {text!r}: ")
+
+
+def test_oracle_nan_discrepancy_fails(monkeypatch, capsys):
+    """A nan discrepancy is not dropped by the max over times: it fails."""
+    monkeypatch.setattr(cli, "cole_hopf_exact",
+                        lambda u0, t: SimpleNamespace(values=np.full(u0.grid.n,
+                                                                     np.nan)))
+    assert run_cli(["oracle", "--preset", "burgers", "--n", "256",
+                    "--length", "40", "--times", "0.5,1"]) == 2
+    assert "discrepancy nan exceeds threshold" in capsys.readouterr().err
 
 
 def test_oracle_rejects_nonzero_operator():
@@ -591,3 +627,51 @@ def test_sweep_checks_every_run_before_starting_any(tmp_path, monkeypatch):
     assert rows[0]["error"] == "need at least 200 interior points"
     assert len(fronts) == 1
     assert not (out / "fd_points_100").exists()
+
+
+def fresh_python(script: str) -> str:
+    """stdout of `script` run by a new interpreter that imports this frontlab."""
+    src = str(Path(frontlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return done.stdout
+
+
+SCIPY_MODULES = ("sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy')")
+
+
+def test_import_and_rates_load_no_scipy(tmp_path):
+    """`import frontlab` and `rates` on a finished run load no scipy: each
+    solver imports its scipy piece when it is first used."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = fresh_python(f"""
+import sys
+import frontlab, frontlab.cli
+print({SCIPY_MODULES})
+code = frontlab.cli.main(["rates", "--run", {str(out)!r}])
+print(code, {SCIPY_MODULES})
+""").splitlines()
+    assert printed[0] == "[]"
+    assert printed[-1] in ("0 []", "2 []")
+
+
+def test_shot_imports_only_scipy_integrate():
+    """One shooting front is one call through `fronts.solve_ivp`, which
+    loads scipy.integrate; the Cole-Hopf spline module stays unloaded."""
+    printed = fresh_python(f"""
+import sys
+from frontlab import fronts, make_grid
+calls = []
+solve_ivp = fronts.solve_ivp
+fronts.solve_ivp = lambda *a, **k: calls.append(1) or solve_ivp(*a, **k)
+fronts.shoot_local_front(-0.24, make_grid(512, 80.0))
+loaded = {SCIPY_MODULES}
+print(len(calls), "scipy.integrate" in loaded, "scipy.interpolate" in loaded)
+""")
+    assert printed.split() == ["1", "True", "False"]
