@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .fronts import FrontProfile, shoot_local_front
+from .fronts import FrontError, FrontProfile, shoot_local_front
 from .spectral import make_grid
 
 __all__ = [
@@ -226,7 +226,7 @@ def _sweep_row(args) -> SweepRow:
         return SweepRow(nu=float(nu), satisfied=cert.satisfied,
                         min_count=cert.min_count,
                         argmin_eps=cert.argmin_eps)
-    except Exception as exc:  # row failure must not kill the sweep
+    except (FrontError, CertificationError, ValueError) as exc:  # a row, not the sweep
         return SweepRow(nu=float(nu), satisfied=False,
                         min_count=-1, argmin_eps=float("nan"),
                         error=str(exc))

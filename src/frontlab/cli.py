@@ -148,6 +148,11 @@ def _parse_sweep_range(text: str) -> list[float]:
 
 
 def cmd_certify(args) -> int:
+    if args.sweep_nu:  # sweep_nu sizes its own kdvb fronts and grids
+        ignored = [flag for flag in (*_OPERATOR_FLAGS, "--profile")
+                   if getattr(args, flag[2:]) is not None]
+        if ignored:
+            raise ValueError(f"--sweep-nu ignores {', '.join(ignored)}")
     cfg = _config_from_args(args)
     spec, grid, _, _ = _check_config(cfg)
     if args.sweep_nu:
@@ -259,9 +264,8 @@ def cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
     spec, grid, stepper_cfg, v0 = _check_config(cfg)
     if not spec.is_zero:
-        print("the exact solution applies to the pure Burgers case only "
-              "(operator must be 0)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("the exact solution applies to the pure Burgers case "
+                         "only (operator must be 0)")
     times = _parse_times(args.times)
     if not 0.0 <= args.threshold < np.inf:
         raise ValueError(f"--threshold {args.threshold!r}: need a finite "

@@ -65,8 +65,8 @@ class StepperConfig:
     t_end: float
     gamma: float = RunConfig.gamma
     dealias: bool = RunConfig.dealias
-    record_every: int = 10          # series record cadence, in steps
-    snapshot_every: int = 0         # field snapshot cadence, 0 disables
+    record_every: int = RunConfig.record_every      # series cadence, in steps
+    snapshot_every: int = RunConfig.snapshot_every  # field cadence, 0 disables
     p_list: tuple = RunConfig.p_list
 
     def __post_init__(self):

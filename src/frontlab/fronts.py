@@ -6,17 +6,17 @@ phi = ref + w where ref(x) = -tanh(x/2) carries the heteroclinic jump
 analytically and the correction w is periodic and decaying, so spectral
 calculus on w is Gibbs-free.
 
-No scipy is imported with this module: shooting imports scipy.integrate
-at its first shot, Newton scipy.sparse.linalg at its first solve.
+Shooting steps its own Taylor series in numpy; only Newton imports scipy
+(scipy.sparse.linalg, at its first solve).
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .config import RunConfig
 from .spectral import (Field, Grid, derivative, trig_interpolate,
@@ -236,53 +236,30 @@ def reference_front(grid: Grid, spec: MultiplierSpec) -> FrontProfile:
                           "reference", phi_second=ref_d2(x), exact=False)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy's solve_ivp; scipy.integrate is imported at the first shot."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+def solve_ivp(a: float, y0, span: float):
+    """Order-24 Taylor steps of y = (phi, phi') under a*phi'' + phi' +
+    (1-phi^2)/2 = 0 from y(0) = y0 to x = span (see `_shoot_normalized`).
 
-
-@functools.cache
-def __getattr__(name):
-    """PEP 562: `_ProfileTaylor`, built at the first shot on scipy's bases."""
-    if name != "_ProfileTaylor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import DenseOutput, OdeSolver
-
-    class _TaylorDense(DenseOutput):
-        def __init__(self, t_old, t, coef):
-            super().__init__(t_old, t)
-            self.coef = coef  # one step's Taylor coefficients of phi and phi'
-
-        def _call_impl(self, t):
-            return np.polynomial.polynomial.polyval(t - self.t_old, self.coef)
-
-    class _ProfileTaylor(OdeSolver):
-        """Order-24 Taylor stepper for y = (phi, phi'), forward in x only and
-        without calls to `fun`; see `_shoot_normalized`."""
-
-        def __init__(self, fun, t0, y0, t_bound, vectorized, a):
-            super().__init__(fun, t0, y0, t_bound, vectorized)
-            self.a = float(a)
-
-        def _step_impl(self):
-            a, n = self.a, 24
-            c = [float(self.y[0]), float(self.y[1])]
-            for k in range(n - 1):
-                conv = sum(c[j] * c[k - j] for j in range(k + 1)) - (k == 0)
-                c.append((0.5 * conv - (k + 1) * c[k + 1]) / (a * (k + 1) * (k + 2)))
-            tol = 1e-16 * max(1.0, abs(c[0]), abs(c[1]))
-            h = min([0.8 * (tol / abs(c[m])) ** (1.0 / m) for m in (n - 1, n) if c[m]]
-                    + [self.t_bound - self.t])
-            self.coef = np.array([c, [k * c[k] for k in range(1, n + 1)] + [0.0]]).T
-            self.y = np.polynomial.polynomial.polyval(h, self.coef)
-            self.t_old, self.t = self.t, min(self.t + h, self.t_bound)
-            return h > 0.0, None  # a zero or nan step (non-finite state) fails
-
-        def _dense_output_impl(self):
-            return _TaylorDense(self.t_old, self.t, self.coef)
-
-    return _ProfileTaylor
+    Returns the step ends ts (ts[0] = 0, ts[-1] = span) and each step's
+    Taylor coefficients of phi and phi' about its start, shape (steps, 25,
+    2).  A zero or nan step (non-finite state) or |phi| >= 3 raises FrontError.
+    """
+    a, n = float(a), 24
+    y, ts, coefs = y0, [0.0], []
+    while ts[-1] < span:
+        c = [float(y[0]), float(y[1])]
+        for k in range(n - 1):
+            conv = sum(c[j] * c[k - j] for j in range(k + 1)) - (k == 0)
+            c.append((0.5 * conv - (k + 1) * c[k + 1]) / (a * (k + 1) * (k + 2)))
+        tol = 1e-16 * max(1.0, abs(c[0]), abs(c[1]))
+        h = min([0.8 * (tol / abs(c[m])) ** (1.0 / m) for m in (n - 1, n) if c[m]]
+                + [span - ts[-1]])
+        coefs.append(np.array([c, [k * c[k] for k in range(1, n + 1)] + [0.0]]).T)
+        y = polyval(h, coefs[-1])
+        if not (h > 0.0 and abs(y[0]) < 3.0):
+            raise FrontError(f"shooting integration failed for nu={a:g}")
+        ts.append(min(ts[-1] + h, span))
+    return np.array(ts), np.array(coefs)
 
 
 def _shoot_normalized(a: float, targets: np.ndarray):
@@ -293,12 +270,12 @@ def _shoot_normalized(a: float, targets: np.ndarray):
     the orbit: one integration is read off at targets + x_c, x_c its first
     downward zero; past x_c the flow is attracted to phi = -1.
 
-    `solve_ivp` steps with `_ProfileTaylor`: phi = sum c_k (x - x0)^k, k <= 24,
-    from c_0 = phi(x0), c_1 = phi'(x0) and, the equation being quadratic,
+    `solve_ivp` steps phi = sum c_k (x - x0)^k, k <= 24, from c_0 = phi(x0),
+    c_1 = phi'(x0) and, the equation being quadratic,
     c_{k+2} = ((c*c)_k/2 - delta_k0/2 - (k+1) c_{k+1}) / (a (k+1)(k+2)) with
     (c*c)_k the Cauchy product.  The step is 0.8 min_m (1e-16 s/|c_m|)^(1/m)
     over m = 23, 24 with s = max(1, |phi|, |phi'|) (Jorba & Zou 2005).  The
-    dense output is the step polynomial: x_c and the targets cost no steps.
+    step polynomials are the dense output: x_c and the targets cost no steps.
     """
     mu = (-1.0 + np.sqrt(1.0 + 4.0 * a)) / (2.0 * a)  # unstable rate at phi=1
     # second-order unstable-manifold expansion phi = 1 - d + c2*d^2 keeps the
@@ -312,32 +289,38 @@ def _shoot_normalized(a: float, targets: np.ndarray):
         d = delta * np.exp(mu * s)
         return np.array([1.0 - d + c2 * d * d, -mu * d + 2.0 * mu * c2 * d * d])
 
-    def rhs(x, y):
-        return [y[1], -(y[1] + 0.5 * (1.0 - y[0] ** 2)) / a]
-
-    def crossing(x, y):
-        return y[0]
-    crossing.direction = -1
-
-    def blowup(x, y):
-        return abs(y[0]) - 3.0
-    blowup.terminal = True
-
     # u = 1 - phi obeys a*u'' + u' = u*(1 - u/2) >= u/2 until the crossing,
     # so u grows at least at the rate of a*r^2 + r = 1/2 and reaches 1
     # before log(1/delta)/r
     rate = (-1.0 + np.sqrt(1.0 + 2.0 * a)) / (2.0 * a)
     span = np.log(1.0 / delta) / rate + float(np.max(targets)) + 1.0
-    sol = solve_ivp(rhs, (0.0, span), manifold(0.0),
-                    method=__getattr__("_ProfileTaylor"), a=a,
-                    dense_output=True, events=(crossing, blowup))
-    if sol.status != 0 or sol.t_events[0].size == 0:
-        raise FrontError(f"shooting integration failed for nu={a:g}")
+    ts, coefs = solve_ivp(a, manifold(0.0), span)
 
-    s = targets + sol.t_events[0][0]
+    def dense(s):
+        """(phi, phi') at points s >= 0 from the step that holds each (the
+        earlier one at a step end), as (2, s.size)."""
+        step = np.clip(np.searchsorted(ts, s) - 1, 0, ts.size - 2)
+        return polyval(s - ts[step], np.moveaxis(coefs[step], 0, -1),
+                       tensor=False)
+
+    phi = dense(ts)[0]
+    down = np.flatnonzero((phi[:-1] >= 0.0) & (phi[1:] <= 0.0))
+    if down.size == 0:
+        raise FrontError(f"shooting integration failed for nu={a:g}")
+    # bisect the crossing step's polynomial down to two adjacent doubles
+    i = down[0]
+    lo, hi = ts[i], ts[i + 1]
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if polyval(mid - ts[i], coefs[i, :, 0]) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+    s = targets + hi
     inside = s >= 0.0
     out = np.empty((2, targets.size))
-    out[:, inside] = sol.sol(s[inside])
+    out[:, inside] = dense(s[inside])
     # left of the start point the manifold expansion continues the tail
     out[:, ~inside] = manifold(s[~inside])
     return out[0], out[1]

@@ -11,7 +11,7 @@ from frontlab import certify_front, closed_form_burgers, \
     shoot_local_front, sweep_nu
 from frontlab.certify import ZERO_EIGENVALUE_TOL, CertificationError, \
     count_below
-from frontlab.fronts import ref_d1, ref_profile
+from frontlab.fronts import FrontError, ref_d1, ref_profile
 from frontlab.runio import read_certificate, write_certificate
 from frontlab.spectral import Field
 
@@ -304,6 +304,22 @@ def test_sweep_marks_failed_rows():
     assert rows[0].satisfied
     assert rows[1].error != ""
     assert threshold == pytest.approx(0.2)
+
+
+def test_sweep_rows_catch_only_expected_failures(monkeypatch):
+    """A shooting failure becomes an error row; a programming error is not
+    hidden in one."""
+    def failing(kind):
+        def shoot(*args, **kwargs):
+            raise kind("injected")
+        return shoot
+
+    monkeypatch.setattr("frontlab.certify.shoot_local_front", failing(FrontError))
+    rows, threshold = sweep_nu([0.4], m=1500, points=1024)
+    assert rows[0].error == "injected" and np.isnan(threshold)
+    monkeypatch.setattr("frontlab.certify.shoot_local_front", failing(TypeError))
+    with pytest.raises(TypeError, match="injected"):
+        sweep_nu([0.4], m=1500, points=1024)
 
 
 def test_sweep_checks_settings_before_shooting(monkeypatch):

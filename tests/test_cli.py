@@ -249,7 +249,14 @@ def test_oracle_nan_discrepancy_fails(monkeypatch, capsys):
     assert "discrepancy nan exceeds threshold" in capsys.readouterr().err
 
 
-def test_oracle_rejects_nonzero_operator():
+def test_oracle_rejects_nonzero_operator(capsys):
+    """A non-zero operator is an expected failure: exit 1 on an `error:`
+    line, before any front work."""
+    assert run_cli(["oracle", "--preset", "kdvb", "--nu", "0.2",
+                    "--times", "0.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the exact solution applies to the pure Burgers case only "
+        "(operator must be 0)\n")
     assert run_cli(["oracle", "--preset", "bo", "--times", "0.5"]) == 1
 
 
@@ -434,6 +441,24 @@ def test_sweep_keeps_aborted_run(tmp_path):
     assert float(aborted["l2_final"]) > 0.0
     assert "last good state at t=" in aborted["error"]
     assert rows[str(out / "amplitude_0.3")]["status"] == "0"
+
+
+def test_certify_sweep_nu_rejects_flags_it_ignores(tmp_path, capsys, monkeypatch):
+    """sweep_nu sizes its own fronts and grids, so operator, grid and
+    profile flags are refused before any front is shot."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front shot for flags the sweep ignores")
+
+    monkeypatch.setattr("frontlab.certify.shoot_local_front", no_front)
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["certify", "--sweep-nu", "4:4:1", "--n", "64", "--length",
+                    "1", "--preset", "kdvb", "--nu", "0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --sweep-nu ignores --preset, --nu, --n, --length\n")
+    assert run_cli(["certify", "--sweep-nu", "4:4:1", "--profile", "p",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --sweep-nu ignores --profile\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["0.4:1.6:0", "0.4:1.6:-0.6", "1.6:0.4:0.6",
@@ -661,17 +686,20 @@ print(code, {SCIPY_MODULES})
     assert printed[-1] in ("0 []", "2 []")
 
 
-def test_shot_imports_only_scipy_integrate():
-    """One shooting front is one call through `fronts.solve_ivp`, which
-    loads scipy.integrate; the Cole-Hopf spline module stays unloaded."""
+def test_shot_and_kdvb_front_load_no_scipy(tmp_path):
+    """One shooting front is one call through `fronts.solve_ivp`, and
+    neither it nor `frontlab front --preset kdvb` loads any scipy module."""
     printed = fresh_python(f"""
 import sys
-from frontlab import fronts, make_grid
+from frontlab import cli, fronts, make_grid
 calls = []
 solve_ivp = fronts.solve_ivp
-fronts.solve_ivp = lambda *a, **k: calls.append(1) or solve_ivp(*a, **k)
+fronts.solve_ivp = lambda *a: calls.append(1) or solve_ivp(*a)
 fronts.shoot_local_front(-0.24, make_grid(512, 80.0))
-loaded = {SCIPY_MODULES}
-print(len(calls), "scipy.integrate" in loaded, "scipy.interpolate" in loaded)
-""")
-    assert printed.split() == ["1", "True", "False"]
+print(len(calls), {SCIPY_MODULES})
+code = cli.main(["front", "--preset", "kdvb", "--nu", "-0.24", "--n", "512",
+                 "--out", {str(tmp_path / "p")!r}])
+print(code, len(calls), {SCIPY_MODULES})
+""").splitlines()
+    assert printed[0] == "1 []"
+    assert printed[-1] == "0 2 []"
