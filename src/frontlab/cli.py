@@ -98,8 +98,7 @@ def _check_config(cfg: RunConfig):
     check_settings(cfg.eps_samples, cfg.fd_points)
     window = cfg.window()
     if cfg.model:  # `rates` on the run's own settings: p = 2 and the default p
-        steps = np.arange(round(cfg.t_end / cfg.dt) + 1)  # evolve's record times
-        times = cfg.dt * steps[(steps % cfg.record_every == 0) | (steps == steps[-1])]
+        times = cfg.dt * np.array(stepper_cfg.record_steps())  # evolve's record times
         for p in [2.0] + _default_p_list(cfg):
             window_mask(times, window, predicted_rate(cfg.model, p, cfg.delta)[1])
     return spec, grid, stepper_cfg, v0
@@ -352,8 +351,7 @@ def cmd_sweep(args) -> int:
     key = key.strip()
     # every key but output.directory, which the sweep sets per run
     if key not in KEYS or key == "output.directory":
-        print(f"not a sweepable key: {key!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"not a sweepable key: {key!r}")
     attr, kind = KEYS[key]
     base_dir = Path(args.out or "sweep_runs")
     results, jobs = [], []

@@ -70,19 +70,28 @@ class StepperConfig:
     p_list: tuple = RunConfig.p_list
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("time step and horizon must be positive")
-        if self.gamma <= 1.0:
-            raise ValueError("modulation gain must exceed 1 for endpoints (1,-1)")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_end < math.inf):
+            raise ValueError("time step and horizon must be positive and finite "
+                             f"(got dt = {self.dt}, t_end = {self.t_end})")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("modulation gain must be finite and exceed 1 for "
+                             f"endpoints (1,-1) (got {self.gamma})")
         NormSeries(self.p_list)  # rejects a p < 1 or two p with one column
         # on evolve's step grid a snapshot must fall on a record, t_end on a step
-        if self.record_every < 1 or self.snapshot_every % self.record_every:
-            raise ValueError("record_every must be >= 1 and divide snapshot_every "
+        if (self.record_every < 1 or self.snapshot_every < 0
+                or self.snapshot_every % self.record_every):
+            raise ValueError("record_every must be >= 1 and divide snapshot_every >= 0 "
                              f"(got {self.record_every} and {self.snapshot_every})")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end ({self.t_end:g}) is not a whole number of "
                              f"steps of dt ({self.dt:g})")
+
+    def record_steps(self) -> list:
+        """The steps `evolve` records after: 0, every record_every-th step
+        and the last one, listed once."""
+        nsteps = round(self.t_end / self.dt)
+        return [*range(0, nsteps, self.record_every), nsteps]
 
 
 def boundary_contamination(values: np.ndarray) -> float:
@@ -249,12 +258,12 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
            disable: tuple = ()) -> Trajectory:
     """Run the perturbation equation to t_end with per-step audits.
 
-    This is the only stepping driver; a single step is a run with
-    t_end = dt.  Checks along the way: per-step monotonicity of ||v||_2
-    (violations beyond 1e-10 relative are counted, the run continues) and
-    boundary contamination of the decaying field (warning).  `disable` can
-    switch off the 'front', 'nonlinear' or 'modulation' terms for
-    calibration runs.
+    This is the only stepping driver (a single step is t_end = dt); it
+    steps from record to record over `config.record_steps()`.  Each step
+    is audited for monotonicity of ||v||_2 (violations beyond 1e-10
+    relative are counted, the run continues), each record for boundary
+    contamination (warning).  `disable` switches off the 'front',
+    'nonlinear' or 'modulation' terms for calibration runs.
 
     Two guards abort the run: the advective step guard, checked before
     every step unless 'nonlinear' is disabled, on the bound
@@ -286,21 +295,10 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
 
     series = NormSeries(p_list=config.p_list)
     snapshots = []
-    nsteps = int(round(config.t_end / config.dt))
-
-    def record(t, x0, x0_dot):
-        f = Field(grid, np.fft.irfft(z[:-1], ws.n))
-        series.append(t, x0, x0_dot, f, np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1]))))
-        return f
-
     boundary_warnings = 0
     if boundary_contamination(v0.values) > BOUNDARY_TOL:
         boundary_warnings += 1
         warnings.warn("initial data does not decay at the box edge")
-
-    f = record(0.0, 0.0, 0.0)
-    if config.snapshot_every:
-        snapshots.append((0.0, f))
 
     mag = np.abs(z[:-1])
     prev_l2sq = ws.l2sq(mag)
@@ -312,41 +310,44 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     violations = 0
     max_uptick = 0.0
     abort = None  # the guard that stopped the run, if one did
-    t = 0.0
+    x0_dot = 0.0
 
-    for istep in range(1, nsteps + 1):
-        advect = config.dt * ws.sup_bound(mag) * ws.k_max if ws.quad else 0.0
-        if advect > 1.0:
-            abort = ("advective step limit exceeded "
-                     f"(dt*max|v|*k_max = {advect:.3g} > 1)")
+    steps = config.record_steps()
+    for start, stop in zip([0, *steps], steps):  # record 0 takes no step
+        for istep in range(start, stop):  # the step from istep to istep + 1
+            advect = config.dt * ws.sup_bound(mag) * ws.k_max if ws.quad else 0.0
+            if advect > 1.0:
+                abort = ("advective step limit exceeded (dt*max|v|*k_max = "
+                         f"{advect:.3g} > 1) at t={istep * config.dt:g}")
+                break
+            z, x0_dot = stepper.advance(z, nonlin)
+
+            mag = np.abs(z[:-1])
+            l2sq = ws.l2sq(mag)
+            if not math.isfinite(l2sq):
+                abort = f"non-finite solution at t={(istep + 1) * config.dt:g}"
+                break
+            if l2sq - prev_l2sq > 1e-10 * prev_l2sq + l2sq_floor:
+                violations += 1
+                max_uptick = max(max_uptick, l2sq / prev_l2sq - 1.0)
+            prev_l2sq = l2sq
+        if abort is not None:
             break
-        z, x0_dot = stepper.advance(z, nonlin)
-        t = istep * config.dt
 
-        mag = np.abs(z[:-1])
-        l2sq = ws.l2sq(mag)
-        if not math.isfinite(l2sq):
-            abort = "non-finite solution"
-            break
-        if l2sq - prev_l2sq > 1e-10 * prev_l2sq + l2sq_floor:
-            violations += 1
-            max_uptick = max(max_uptick, l2sq / prev_l2sq - 1.0)
-        prev_l2sq = l2sq
-
-        if istep % config.record_every == 0 or istep == nsteps:
-            f = record(t, float(z[-1].real), x0_dot)
-            # a fully decayed field's edge ratios are roundoff noise
-            if series.linf[-1] > 1e-10 * vinf0:
-                contamination = boundary_contamination(f.values)
-                if contamination > BOUNDARY_TOL and boundary_warnings == 0:
-                    boundary_warnings += 1
-                    warnings.warn(
-                        f"boundary contamination {contamination:.2e} at t={t:g}"
-                    )
-                elif contamination > BOUNDARY_TOL:
-                    boundary_warnings += 1
-            if config.snapshot_every and istep % config.snapshot_every == 0:
-                snapshots.append((t, f))
+        t = stop * config.dt
+        f = Field(grid, np.fft.irfft(z[:-1], ws.n))
+        series.append(t, float(z[-1].real), x0_dot, f,
+                      np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1]))))
+        # v0 was checked above; a fully decayed field's edge ratios are noise
+        if stop and series.linf[-1] > 1e-10 * vinf0:
+            contamination = boundary_contamination(f.values)
+            if contamination > BOUNDARY_TOL:
+                if not boundary_warnings:
+                    warnings.warn(f"boundary contamination {contamination:.2e} "
+                                  f"at t={t:g}")
+                boundary_warnings += 1
+        if config.snapshot_every and stop % config.snapshot_every == 0:
+            snapshots.append((t, f))
 
     # the last step is always recorded, so x0 ends the series either way
     traj = Trajectory(series=series, snapshots=snapshots,
@@ -356,8 +357,7 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
                       boundary_warnings=boundary_warnings,
                       aborted=abort is not None)
     if abort is not None:
-        err = StabilityError(
-            f"{abort} at t={t:g}; last good state at t={series.t[-1]:g}")
+        err = StabilityError(f"{abort}; last good state at t={series.t[-1]:g}")
         err.partial = traj
         raise err
     return traj

@@ -334,14 +334,16 @@ def test_sweep_keeps_finished_runs(tmp_path):
     assert (out / "kind_gaussian" / "series.csv").exists()
 
 
-def test_sweep_unknown_key(tmp_path):
+def test_sweep_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG)
     assert run_cli(["sweep", "--config", str(cfg),
                     "--set", "grid.nonsense=1,2"]) == 1
+    assert capsys.readouterr().err == "error: not a sweepable key: 'grid.nonsense'\n"
     # the sweep names each run's directory itself
     assert run_cli(["sweep", "--config", str(cfg),
                     "--set", "output.directory=a,b"]) == 1
+    assert capsys.readouterr().err == "error: not a sweepable key: 'output.directory'\n"
 
 
 def test_sweep_reaches_every_key_type(tmp_path):
@@ -561,6 +563,28 @@ def test_simulate_bad_diagnostics_fail_before_front(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("t_end = 2.0", "t_end = inf", "t_end = inf"), ("dt = 0.004", "dt = inf", "dt = inf"),
+    ("dt = 0.004", "dt = nan", "dt = nan"), ("dt = 0.004", "dt = 0.004\ngamma = nan", "nan"),
+    ("snapshot_every = 250", "snapshot_every = -250", "-250")],
+    ids=["t_end_inf", "dt_inf", "dt_nan", "gamma_nan", "snapshot_negative"])
+def test_simulate_bad_step_settings_fail_before_front(tmp_path, monkeypatch, capsys,
+                                                      old, new, named):
+    """Step settings that cannot run are one `error:` line and exit 1,
+    before the front is solved and before the run directory is made."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front solved for a config that cannot run")
+
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(CONFIG.replace(old, new))
+    out = tmp_path / "bad_run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("diagnostics, message", [
     # frac_odd's log-corrected claims; the default window starts at t = 0.5
     ("model = frac_odd", "log-corrected fits need window start >= 2 in [0.5, 2]"),
@@ -595,6 +619,16 @@ def test_simulate_window_check_counts_what_rates_counts(tmp_path, capsys):
     assert run_cli(["rates", "--run", str(out), "--window", "1.35,2"]) == 1
     assert capsys.readouterr().err == (
         "error: diagnostics.fit_window: under 8 samples in [1.35, 2]\n")
+    # t_end = 2.02 is off the record grid: [1.4, 2.02] holds the records at
+    # 1.4, ..., 2.0 and the last one, 8 only if the last record counts
+    cfg.write_text(CONFIG.replace("t_end = 2.0", "t_end = 2.02")
+                   + "fit_window = 1.4,2.02\n")
+    out = tmp_path / "run_last"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_series_csv(out / "series.csv").t[-8:] == pytest.approx(
+        [1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.02])
+    assert run_cli(["rates", "--run", str(out)]) in (0, 2)
+    assert "model kdvb, window [1.4, 2.02]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("setting", ["eps =", "fd_points = 100"])

@@ -225,20 +225,25 @@ def test_evolve_bitwise_equals_half_spectrum_oracle(grid_std, kdvb_front, scheme
     spec = preset("kdvb", nu=-6.0 / 25.0)
     v0 = make_perturbation("random_bandlimited", 0.8, 1.3, grid_std, seed=5)
     v0 = Field(grid_std, v0.values + 0.01 * random_field(np.random.default_rng(5)).values)
-    cfg = StepperConfig(dt=0.01, t_end=0.5, dealias=dealias,
-                        record_every=5, snapshot_every=10)
-    traj = quiet_evolve(v0, kdvb_front, spec, cfg, disable=disable)
-    series, snapshots, x0_final, masked_peak = half_spectrum_evolve(
-        v0, kdvb_front, spec, cfg, disable)
-    got, want = traj.series.data, series.data
-    assert list(got) == list(want) and len(want["t"]) == 11
-    for name in want:
-        assert np.array_equal(got[name], want[name]), name
-    assert [t for t, _ in traj.snapshots] == [t for t, _ in snapshots]
-    for (_, mine), (_, theirs) in zip(traj.snapshots, snapshots):
-        assert np.array_equal(mine.values, theirs.values)
-    assert traj.x0_final == x0_final
-    assert masked_peak == 0.0
+    # 53 steps: a multiple of neither cadence, so the last record is off the
+    # record grid and no snapshot
+    for t_end, records in [(0.5, 11), (0.53, 12)]:
+        cfg = StepperConfig(dt=0.01, t_end=t_end, dealias=dealias,
+                            record_every=5, snapshot_every=10)
+        traj = quiet_evolve(v0, kdvb_front, spec, cfg, disable=disable)
+        series, snapshots, x0_final, masked_peak = half_spectrum_evolve(
+            v0, kdvb_front, spec, cfg, disable)
+        got, want = traj.series.data, series.data
+        assert list(got) == list(want) and len(want["t"]) == records
+        assert want["t"][-1] == round(t_end / 0.01) * 0.01
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        assert [t for t, _ in traj.snapshots] == [t for t, _ in snapshots]
+        assert len(snapshots) == 6
+        for (_, mine), (_, theirs) in zip(traj.snapshots, snapshots):
+            assert np.array_equal(mine.values, theirs.values)
+        assert traj.x0_final == x0_final
+        assert masked_peak == 0.0
 
 
 def test_cfl_guard(grid_std, burgers_front):
@@ -306,6 +311,21 @@ def test_stepper_config_validation():
         StepperConfig(dt=-1.0, t_end=1.0)
     with pytest.raises(ValueError):
         StepperConfig(dt=1e-3, t_end=1.0, gamma=0.9)
+    # settings that cannot run: each error names the value
+    for kwargs, value in [({"dt": np.inf}, "dt = inf"), ({"dt": np.nan}, "dt = nan"),
+                          ({"t_end": np.inf}, "t_end = inf"), ({"gamma": np.nan}, "nan"),
+                          ({"snapshot_every": -50}, "-50")]:
+        with pytest.raises(ValueError, match=value):
+            StepperConfig(**{"dt": 1e-3, "t_end": 1.0, **kwargs})
+
+
+def test_record_steps():
+    """Records at step 0, every record_every-th step and the last step, once."""
+    assert StepperConfig(dt=0.01, t_end=0.5, record_every=5).record_steps() == [
+        0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
+    assert StepperConfig(dt=0.01, t_end=0.53, record_every=25).record_steps() == [
+        0, 25, 50, 53]
+    assert StepperConfig(dt=0.01, t_end=0.01, record_every=25).record_steps() == [0, 1]
 
 
 def test_stepper_config_rejects_snapshots_between_records():
