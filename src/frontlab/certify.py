@@ -243,15 +243,16 @@ def sweep_nu(nu_values: Sequence[float],
     Fronts oscillate with decay rate ~ 1/(2|nu|), so the box grows with
     |nu| to keep the tail resolved; solver failures mark the row and the
     sweep continues, while bad certificate settings raise before any front
-    is shot.  Rows are independent and run in worker processes when
-    threads > 1.
+    is shot.  Rows are independent and run in min(threads, rows) worker
+    processes when that is > 1.
     """
     check_settings(eps_samples, m)
     jobs = [(float(nu), tuple(eps_samples), m, points) for nu in nu_values]
-    if threads > 1:
+    workers = min(threads, len(jobs))  # a pool starts all its workers at once
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(j) for j in jobs]

@@ -367,8 +367,9 @@ def cmd_sweep(args) -> int:
         except tuple(FAILURE_EXIT) as exc:
             results.append(_failure_row(sub, exc))
 
-    if args.threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
+    workers = min(args.threads, len(jobs))  # a pool starts all its workers at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             done = iter(list(pool.map(_simulate_worker, jobs)))
     else:
         done = map(_simulate_worker, jobs)

@@ -23,8 +23,7 @@ The state is x0 and the real-FFT modes 0..n/3 of v that the two-thirds
 rule keeps (0..n/2 without dealiasing).  The explicit terms are taken in
 divergence form, with the flux phi*v + v^2/2 formed in physical space and
 phi_hat' precomputed, so one evaluation costs two real FFTs: one irfft
-for v, one rfft for the flux.  Norms come from the modes by Parseval.
-Only the Cole-Hopf oracle uses scipy: scipy.interpolate, at its first call."""
+for v, one rfft for the flux.  Norms come from the modes by Parseval."""
 
 from __future__ import annotations
 
@@ -53,6 +52,7 @@ __all__ = [
 
 BOUNDARY_FRACTION = 0.05
 BOUNDARY_TOL = 1e-6
+MAX_RECORDS = 10 ** 6  # per run: a longer one is refused before it starts
 
 
 class StabilityError(RuntimeError):
@@ -83,6 +83,11 @@ class StepperConfig:
             raise ValueError("record_every must be >= 1 and divide snapshot_every >= 0 "
                              f"(got {self.record_every} and {self.snapshot_every})")
         steps = self.t_end / self.dt
+        # record_steps() has ceil(steps / record_every) + 1 entries, in ints
+        if not (steps < math.inf and round(steps) <= (MAX_RECORDS - 1) * self.record_every):
+            raise ValueError(f"t_end / dt must be finite and give at most {MAX_RECORDS} "
+                             f"records (got dt = {self.dt}, t_end = {self.t_end}, "
+                             f"record_every = {self.record_every})")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end ({self.t_end:g}) is not a whole number of "
                              f"steps of dt ({self.dt:g})")
@@ -367,6 +372,39 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
 # Exact pure-Burgers solution via the heat substitution
 
 
+def _cole_hopf_antiderivative(u0: Field):
+    """c0, lam0 of the split u0 = c0 + lam0 * ref + w, and U(y) = int_0^y u0."""
+    grid = u0.grid
+    edge = max(4, grid.n // 128)
+    u_minus = float(np.mean(u0.values[:edge]))
+    u_plus = float(np.mean(u0.values[-edge:]))
+    lam0, c0 = 0.5 * (u_minus - u_plus), 0.5 * (u_minus + u_plus)
+    w = u0.values - c0 - lam0 * ref_profile(grid.x)
+    mean_w = float(np.mean(w))
+    fine, half = Grid(16 * grid.n, grid.length), grid.n // 2
+    what, pad = np.fft.fft(w) * 16, np.zeros(16 * grid.n, dtype=complex)
+    pad[:half], pad[-half:] = what[:half], what[-half:]
+    slope = fine.h * (np.fft.ifft(pad).real - mean_w)  # per cell width
+    pad[0] = 0.0  # drop mean_w; i*k, not fine.ik, whose Nyquist 0 gives 0/0
+    pad[1:] /= 1j * fine.k[1:]
+    anti = np.fft.ifft(pad).real
+    anti -= anti[fine.n // 2]  # the node x = 0
+    # on each (periodic) fine cell, the Hermite cubic in the cell coordinate
+    rise, m0, m1 = np.roll(anti, -1) - anti, slope, np.roll(slope, -1)
+    coef = np.stack([anti, m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise])
+    x_lo, x_hi = fine.x[[0, -1]]
+
+    def u0_antiderivative(y):
+        yc = np.clip(y, x_lo, x_hi)
+        s = (yc - x_lo) / fine.h
+        cell = s.astype(np.intp)
+        a, b, c, d = coef[:, cell]
+        s -= cell
+        core = a + s * (b + s * (c + s * d)) + mean_w * yc
+        return c0 * y - 2.0 * lam0 * np.log(np.cosh(0.5 * y)) + core
+    return c0, lam0, u0_antiderivative
+
+
 def cole_hopf_exact(u0: Field, t: float) -> Field:
     """Exact solution of u_t - u_xx + u*u_x = 0 from heteroclinic data.
 
@@ -377,48 +415,16 @@ def cole_hopf_exact(u0: Field, t: float) -> Field:
 
     evaluated by composite Gauss-Legendre panels with the max of -H/2
     factored out (w0 grows like e^{|x|/2} for front-like data).  The
-    integrand is truncated where it falls 1e-18 below its peak.  Rows of x
-    are summed in blocks of 64, so the work arrays are 64 x (nodes), not
-    n x (nodes): at n = 4096, t = 1 the traced peak is 14.8 MB, not 128 MB.
-    """
+    integrand is truncated where it falls 1e-18 below its peak.  int_0^y u0
+    is closed-form for the front part and, for the decaying rest, a cubic
+    Hermite on a 16x finer grid through the exact antiderivative and slopes
+    of its trigonometric interpolant.  Rows of x are summed in blocks of 64,
+    so the work arrays are 64 x (nodes), not n x (nodes): at n = 4096, t = 1
+    the traced peak is 7.0 MB, not 128 MB."""
     if t <= 0.0:
         raise ValueError("time must be positive")
-    grid = u0.grid
-    x = grid.x
-
-    # split u0 = c0 + lam0 * ref + w with decaying w; the reference part
-    # integrates in closed form, w by spectral antiderivative
-    edge = max(4, grid.n // 128)
-    u_minus = float(np.mean(u0.values[:edge]))
-    u_plus = float(np.mean(u0.values[-edge:]))
-    lam0 = 0.5 * (u_minus - u_plus)
-    c0 = 0.5 * (u_minus + u_plus)
-    w = u0.values - c0 - lam0 * ref_profile(grid.x)
-
-    upsample = 16
-    nf = upsample * grid.n
-    what = np.fft.fft(w)
-    pad = np.zeros(nf, dtype=complex)
-    half = grid.n // 2
-    pad[:half] = what[:half]
-    pad[-half:] = what[-half:]
-    w_fine = np.fft.ifft(pad).real * upsample
-    xf = -0.5 * grid.length + (grid.length / nf) * np.arange(nf)
-
-    mean_w = float(np.mean(w))
-    kf = 2.0 * np.pi * np.fft.fftfreq(nf, d=grid.length / nf)
-    wt_hat = np.fft.fft(w_fine - mean_w)
-    anti = np.zeros(nf, dtype=complex)
-    anti[1:] = wt_hat[1:] / (1j * kf[1:])
-    wt_anti = np.fft.ifft(anti).real
-    from scipy.interpolate import CubicSpline
-    spline = CubicSpline(xf, wt_anti)
-    wt_anti0 = float(spline(0.0))
-
-    def u0_antiderivative(y):
-        yc = np.clip(y, xf[0], xf[-1])
-        core = spline(yc) - wt_anti0 + mean_w * yc
-        return c0 * y - 2.0 * lam0 * np.log(np.cosh(0.5 * y)) + core
+    x = u0.grid.x
+    c0, lam0, u0_antiderivative = _cole_hopf_antiderivative(u0)
 
     def solve(n_panels):
         reach = np.sqrt(2.0 * t * np.log(1e18)) + 2.0 * t * (abs(c0) + abs(lam0)) + 6.0
@@ -445,7 +451,7 @@ def cole_hopf_exact(u0: Field, t: float) -> Field:
     fine = solve(int(1.5 * n_panels) + 2)
     if np.max(np.abs(coarse - fine)) > 5e-7:
         raise RuntimeError("quadrature did not converge for the exact solution")
-    return Field(grid, fine)
+    return Field(u0.grid, fine)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline
 from frontlab import (Field, apply_multiplier, band_project,
                       kernel_positivity_check, lp_norm, make_grid)
 from frontlab.diagnostics import NormSeries
-from frontlab.evolution import _EtdRk4
+from frontlab.evolution import _cole_hopf_antiderivative, _EtdRk4
 from frontlab.fronts import ref_profile
 from frontlab.spectral import weighted_l2
 
@@ -291,11 +291,12 @@ def trig_interpolate_262144(grid, values, points):
     return out.real
 
 
-def cole_hopf_whole_array(u0, t):
-    """`evolution.cole_hopf_exact` with each quadrature evaluated on the
-    whole n x (nodes) array at once, not on blocks of rows of x."""
+def cubic_spline_antiderivative(u0):
+    """`evolution._cole_hopf_antiderivative` as a global not-a-knot cubic
+    spline through the antiderivative of w on the 16x zero-padded grid,
+    taken by a second FFT round trip; its slopes come from the spline's
+    own tridiagonal solve, not from w."""
     grid = u0.grid
-    x = grid.x
     edge = max(4, grid.n // 128)
     u_minus = float(np.mean(u0.values[:edge]))
     u_plus = float(np.mean(u0.values[-edge:]))
@@ -326,6 +327,15 @@ def cole_hopf_whole_array(u0, t):
         yc = np.clip(y, xf[0], xf[-1])
         core = spline(yc) - wt_anti0 + mean_w * yc
         return c0 * y - 2.0 * lam0 * np.log(np.cosh(0.5 * y)) + core
+    return c0, lam0, u0_antiderivative
+
+
+def cole_hopf_whole_array(u0, t, antiderivative=_cole_hopf_antiderivative):
+    """`evolution.cole_hopf_exact` with each quadrature evaluated on the
+    whole n x (nodes) array at once, not on blocks of rows of x, through
+    `antiderivative(u0)` = (c0, lam0, int_0^y u0)."""
+    x = u0.grid.x
+    c0, lam0, u0_antiderivative = antiderivative(u0)
 
     def solve(n_panels):
         reach = np.sqrt(2.0 * t * np.log(1e18)) + 2.0 * t * (abs(c0) + abs(lam0)) + 6.0
@@ -349,4 +359,4 @@ def cole_hopf_whole_array(u0, t):
     coarse = solve(n_panels)
     fine = solve(int(1.5 * n_panels) + 2)
     assert np.max(np.abs(coarse - fine)) <= 5e-7
-    return Field(grid, fine)
+    return Field(u0.grid, fine)

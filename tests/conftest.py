@@ -36,3 +36,29 @@ def frac_one_front(grid_std):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return newton_front(preset("frac", terms=[(1.0, 0.5)]), grid_std, tol=1e-9)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces `concurrent.futures.ProcessPoolExecutor` with a pool that
+    starts no process and maps in this one; returns the list of the
+    `max_workers` each pool was asked for."""
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked

@@ -10,7 +10,7 @@ from frontlab import certify_front, closed_form_burgers, \
     count_negative_eigenvalues, make_grid, schrodinger_tridiagonal, \
     shoot_local_front, sweep_nu
 from frontlab.certify import ZERO_EIGENVALUE_TOL, CertificationError, \
-    count_below
+    SweepRow, count_below
 from frontlab.fronts import FrontError, ref_d1, ref_profile
 from frontlab.runio import read_certificate, write_certificate
 from frontlab.spectral import Field
@@ -333,6 +333,20 @@ def test_sweep_checks_settings_before_shooting(monkeypatch):
         sweep_nu([0.4, 1.0], m=100)
     with pytest.raises(ValueError, match=r"eps samples must lie in \(0, 1\)"):
         sweep_nu([0.4, 1.0], eps_samples=(0.5, 1.0))
+
+
+def test_sweep_workers_capped_at_rows(monkeypatch, serial_pool):
+    """A pool starts all its workers at once, so it gets no more than one
+    per row, and one row or one thread runs with no pool at all."""
+    monkeypatch.setattr("frontlab.certify._sweep_row",
+                        lambda job: SweepRow(nu=job[0], satisfied=True,
+                                             min_count=1, argmin_eps=0.01))
+    rows, threshold = sweep_nu([0.2, 0.3, 0.4], threads=5000)
+    assert [row.nu for row in rows] == [0.2, 0.3, 0.4] and threshold == 0.4
+    sweep_nu([0.2, 0.3, 0.4], threads=2)
+    sweep_nu([0.2], threads=8)
+    sweep_nu([0.2, 0.3], threads=1)
+    assert serial_pool == [3, 2]
 
 
 def test_sweep_parallel_rows_match_serial():

@@ -316,6 +316,24 @@ def test_sweep_threads_match_serial(tmp_path):
                 == (tmp_path / "1" / run / "series.csv").read_bytes())
 
 
+def test_sweep_workers_capped_at_runs(tmp_path, monkeypatch, serial_pool):
+    """A pool starts all its workers at once, so it gets no more than one
+    per run, and one run or one thread runs with no pool at all."""
+    monkeypatch.setattr(cli, "_simulate_worker",
+                        lambda job: (job[0].directory, 0, {}, ""))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(short_config(0.5))
+    for threads, values in (("5000", "0.1,0.2,0.3"), ("2", "0.1,0.2,0.3"),
+                            ("8", "0.1"), ("1", "0.1,0.2")):
+        assert run_cli(["sweep", "--config", str(cfg),
+                        "--set", f"perturbation.amplitude={values}",
+                        "--out", str(tmp_path / threads),
+                        "--threads", threads]) == 0
+    assert serial_pool == [3, 2]
+    summary = (tmp_path / "5000" / "summary.csv").read_text().splitlines()
+    assert len(summary) == 4
+
+
 def test_sweep_keeps_finished_runs(tmp_path):
     """A run that raises becomes a row; the finished runs stay listed."""
     cfg = tmp_path / "run.ini"
@@ -566,8 +584,12 @@ def test_simulate_bad_diagnostics_fail_before_front(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("old, new, named", [
     ("t_end = 2.0", "t_end = inf", "t_end = inf"), ("dt = 0.004", "dt = inf", "dt = inf"),
     ("dt = 0.004", "dt = nan", "dt = nan"), ("dt = 0.004", "dt = 0.004\ngamma = nan", "nan"),
-    ("snapshot_every = 250", "snapshot_every = -250", "-250")],
-    ids=["t_end_inf", "dt_inf", "dt_nan", "gamma_nan", "snapshot_negative"])
+    ("snapshot_every = 250", "snapshot_every = -250", "-250"),
+    ("dt = 0.004\nt_end = 2.0", "dt = 1e-300\nt_end = 1e300", "t_end = 1e+300"),
+    ("t_end = 2.0\nrecord_every = 25", "t_end = 1e6\nrecord_every = 1",
+     "at most 1000000 records")],
+    ids=["t_end_inf", "dt_inf", "dt_nan", "gamma_nan", "snapshot_negative",
+         "steps_overflow", "too_many_records"])
 def test_simulate_bad_step_settings_fail_before_front(tmp_path, monkeypatch, capsys,
                                                       old, new, named):
     """Step settings that cannot run are one `error:` line and exit 1,
@@ -718,6 +740,19 @@ print(code, {SCIPY_MODULES})
 """).splitlines()
     assert printed[0] == "[]"
     assert printed[-1] in ("0 []", "2 []")
+
+
+def test_oracle_loads_no_scipy():
+    """`frontlab oracle` on pure Burgers is numpy only: the closed-form
+    front, the stepper and the Cole-Hopf quadrature load no scipy module."""
+    printed = fresh_python(f"""
+import sys
+from frontlab import cli
+code = cli.main(["oracle", "--preset", "burgers", "--n", "256", "--length", "40",
+                 "--times", "0.5"])
+print(code, {SCIPY_MODULES})
+""").splitlines()
+    assert printed[-1] == "0 []"
 
 
 def test_shot_and_kdvb_front_load_no_scipy(tmp_path):

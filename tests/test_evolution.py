@@ -14,7 +14,8 @@ from frontlab.evolution import _Workspace, make_stepper
 from frontlab.fronts import reference_front
 from frontlab.spectral import Grid, trig_interpolate
 
-from checks import (HalfSpectrumWorkspace, cole_hopf_whole_array, dealias_mask,
+from checks import (HalfSpectrumWorkspace, cole_hopf_whole_array,
+                    cubic_spline_antiderivative, dealias_mask,
                     full_tendency, half_spectrum_evolve, random_field)
 
 
@@ -314,9 +315,20 @@ def test_stepper_config_validation():
     # settings that cannot run: each error names the value
     for kwargs, value in [({"dt": np.inf}, "dt = inf"), ({"dt": np.nan}, "dt = nan"),
                           ({"t_end": np.inf}, "t_end = inf"), ({"gamma": np.nan}, "nan"),
-                          ({"snapshot_every": -50}, "-50")]:
+                          ({"snapshot_every": -50}, "-50"),
+                          # t_end / dt overflows a float
+                          ({"dt": 1e-300, "t_end": 1e300}, "t_end = 1e\\+300"),
+                          # 10^9 steps of one record each
+                          ({"t_end": 1e6, "record_every": 1}, "at most 1000000 records")]:
         with pytest.raises(ValueError, match=value):
             StepperConfig(**{"dt": 1e-3, "t_end": 1.0, **kwargs})
+    # the bound is exact: 999,999 steps make 10^6 records, 10^6 steps one more
+    assert len(StepperConfig(dt=1e-3, t_end=999.999, record_every=1).record_steps()) == 10 ** 6
+    with pytest.raises(ValueError, match="record_every = 1\\)"):
+        StepperConfig(dt=1e-3, t_end=1000.0, record_every=1)
+    # records are counted in integers, so a cadence past any float is accepted
+    assert StepperConfig(dt=1e-3, t_end=1e6, record_every=10 ** 600).record_steps() == [
+        0, 10 ** 9]
 
 
 def test_record_steps():
@@ -454,6 +466,15 @@ def test_cole_hopf_row_blocks_equal_whole_array(n):
     for u0, t in cole_hopf_data(n, 80.0):
         assert np.array_equal(cole_hopf_exact(u0, t).values,
                               cole_hopf_whole_array(u0, t).values)
+
+
+@pytest.mark.parametrize("n", [1024, 1000])
+def test_cole_hopf_hermite_matches_cubic_spline(n):
+    """The Hermite antiderivative through exact slopes gives the solution
+    that a global cubic spline through the same antiderivative gives."""
+    for u0, t in cole_hopf_data(n, 80.0):
+        spline = cole_hopf_whole_array(u0, t, cubic_spline_antiderivative)
+        assert np.max(np.abs(cole_hopf_exact(u0, t).values - spline.values)) <= 1e-13
 
 
 def test_cole_hopf_memory_is_bounded_by_row_blocks():
