@@ -12,6 +12,7 @@ Shooting steps its own Taylor series in numpy; only Newton imports scipy
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -236,6 +237,14 @@ def reference_front(grid: Grid, spec: MultiplierSpec) -> FrontProfile:
                           "reference", phi_second=ref_d2(x), exact=False)
 
 
+def _horner(x: float, c: list) -> float:
+    """numpy `polyval(x, c)`'s operations on a list c of Python floats."""
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = ck + acc * x
+    return acc
+
+
 def solve_ivp(a: float, y0, span: float):
     """Order-24 Taylor steps of y = (phi, phi') under a*phi'' + phi' +
     (1-phi^2)/2 = 0 from y(0) = y0 to x = span (see `_shoot_normalized`).
@@ -243,23 +252,24 @@ def solve_ivp(a: float, y0, span: float):
     Returns the step ends ts (ts[0] = 0, ts[-1] = span) and each step's
     Taylor coefficients of phi and phi' about its start, shape (steps, 25,
     2).  A zero or nan step (non-finite state) or |phi| >= 3 raises FrontError.
+    Each step end is numpy `polyval`'s operations on Python floats (`_horner`).
     """
     a, n = float(a), 24
     y, ts, coefs = y0, [0.0], []
     while ts[-1] < span:
         c = [float(y[0]), float(y[1])]
         for k in range(n - 1):
-            conv = sum(c[j] * c[k - j] for j in range(k + 1)) - (k == 0)
+            conv = sum(map(operator.mul, c[:k + 1], c[k::-1])) - (k == 0)
             c.append((0.5 * conv - (k + 1) * c[k + 1]) / (a * (k + 1) * (k + 2)))
         tol = 1e-16 * max(1.0, abs(c[0]), abs(c[1]))
         h = min([0.8 * (tol / abs(c[m])) ** (1.0 / m) for m in (n - 1, n) if c[m]]
                 + [span - ts[-1]])
-        coefs.append(np.array([c, [k * c[k] for k in range(1, n + 1)] + [0.0]]).T)
-        y = polyval(h, coefs[-1])
+        coefs.append((c, [k * c[k] for k in range(1, n + 1)] + [0.0]))
+        y = [_horner(h, row) for row in coefs[-1]]
         if not (h > 0.0 and abs(y[0]) < 3.0):
             raise FrontError(f"shooting integration failed for nu={a:g}")
         ts.append(min(ts[-1] + h, span))
-    return np.array(ts), np.array(coefs)
+    return np.array(ts), np.array(coefs).transpose(0, 2, 1)
 
 
 def _shoot_normalized(a: float, targets: np.ndarray):
@@ -309,10 +319,11 @@ def _shoot_normalized(a: float, targets: np.ndarray):
         raise FrontError(f"shooting integration failed for nu={a:g}")
     # bisect the crossing step's polynomial down to two adjacent doubles
     i = down[0]
-    lo, hi = ts[i], ts[i + 1]
+    (t0, hi), c = ts[i:i + 2].tolist(), coefs[i, :, 0].tolist()
+    lo = t0
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if polyval(mid - ts[i], coefs[i, :, 0]) > 0.0:
+        if _horner(mid - t0, c) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -7,13 +7,14 @@ run them for a fixed number of trials and report the failure count.
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 
 from frontlab import (Field, apply_multiplier, band_project,
                       kernel_positivity_check, lp_norm, make_grid)
 from frontlab.diagnostics import NormSeries
 from frontlab.evolution import _cole_hopf_antiderivative, _EtdRk4
-from frontlab.fronts import ref_profile
+from frontlab.fronts import FrontError, ref_profile
 from frontlab.spectral import weighted_l2
 
 GRID = make_grid(1024, 80.0)
@@ -273,6 +274,28 @@ def sturm_count_numpy_scalars(diag, offdiag, shift):
             return int(count)
         shift -= 1e-13 * max(scale, 1.0)
     return None  # pivot breakdown
+
+
+def taylor_steps_polyval(a, y0, span):
+    """`fronts.solve_ivp` with each Cauchy product summed from a generator
+    and each step end evaluated by numpy `polyval` on the (25, 2) array of
+    the step's coefficients."""
+    a, n = float(a), 24
+    y, ts, coefs = y0, [0.0], []
+    while ts[-1] < span:
+        c = [float(y[0]), float(y[1])]
+        for k in range(n - 1):
+            conv = sum(c[j] * c[k - j] for j in range(k + 1)) - (k == 0)
+            c.append((0.5 * conv - (k + 1) * c[k + 1]) / (a * (k + 1) * (k + 2)))
+        tol = 1e-16 * max(1.0, abs(c[0]), abs(c[1]))
+        h = min([0.8 * (tol / abs(c[m])) ** (1.0 / m) for m in (n - 1, n) if c[m]]
+                + [span - ts[-1]])
+        coefs.append(np.array([c, [k * c[k] for k in range(1, n + 1)] + [0.0]]).T)
+        y = polyval(h, coefs[-1])
+        if not (h > 0.0 and abs(y[0]) < 3.0):
+            raise FrontError(f"shooting integration failed for nu={a:g}")
+        ts.append(min(ts[-1] + h, span))
+    return np.array(ts), np.array(coefs)
 
 
 def trig_interpolate_262144(grid, values, points):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import warnings
 
@@ -10,7 +11,8 @@ from frontlab import certify_front, closed_form_burgers, \
     count_negative_eigenvalues, make_grid, schrodinger_tridiagonal, \
     shoot_local_front, sweep_nu
 from frontlab.certify import ZERO_EIGENVALUE_TOL, CertificationError, \
-    SweepRow, count_below
+    SweepRow, _lattice, count_below
+from frontlab.config import RunConfig
 from frontlab.fronts import FrontError, ref_d1, ref_profile
 from frontlab.runio import read_certificate, write_certificate
 from frontlab.spectral import Field
@@ -86,15 +88,45 @@ def sturm_cases(rng):
         yield diag, big * off, [0.0, -big]
         off[rng.integers(0, m - 1)] = big
         yield diag, off, [0.0, 0.5, diag[0]]
+    # pivots -1e-14, 1, 2 - 1/1 = 1 and 1 - 1/1 = 0: only the last one
+    # vanishes, and the retry's downward shift also leaves -1e-14 above it
+    yield np.array([-1e-14, 1.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0]), [0.0]
 
 
-def test_count_below_matches_numpy_scalar_recurrence():
+# sweep_nu's fronts: n = 4096, box max(120, 100 nu), tolerance 1e-6
+SWEEP_NU = (0.4, 1.0, 1.6, 2.2, 2.7945, 2.8, 3.4, 3.966, 4.0, 4.6)
+
+
+@pytest.fixture(scope="module")
+def sweep_fronts():
+    return {nu: shoot_local_front(nu, make_grid(4096, max(120.0, 100.0 * nu)),
+                                  tol=1e-6) for nu in SWEEP_NU}
+
+
+def certificate_cases(fronts):
+    """The certificate's own matrices: constant off-diagonal -(1-eps)/h^2
+    and the lattice potential phi'/2 of fronts near the threshold."""
+    for nu in (2.7945, 3.966, 4.0):
+        front = fronts[nu]
+        half_width = 0.45 * front.grid.length
+        for m in (1500, 3000):
+            h, nodes = _lattice(m, half_width)
+            v = 0.5 * front.phi_prime_on_lattice(nodes, h)
+            for eps in (0.0,) + RunConfig.eps_samples:
+                d = schrodinger_tridiagonal(lambda y: v, eps, m, half_width)
+                yield d.diag, d.offdiag, [-ZERO_EIGENVALUE_TOL, 0.0,
+                                          ZERO_EIGENVALUE_TOL]
+
+
+def test_count_below_matches_numpy_scalar_recurrence(sweep_fronts):
     """Pivots on Python floats are the numpy-scalar pivots: equal counts,
     and equal breakdowns, on every case."""
     cases = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
-        for diag, off, shifts in sturm_cases(np.random.default_rng(12)):
+        for diag, off, shifts in itertools.chain(
+                sturm_cases(np.random.default_rng(12)),
+                certificate_cases(sweep_fronts)):
             for shift in shifts:
                 want = sturm_count_numpy_scalars(diag, off, shift)
                 if want is None:
@@ -103,7 +135,49 @@ def test_count_below_matches_numpy_scalar_recurrence():
                 else:
                     assert count_below(diag, off, shift) == want
                 cases += 1
-    assert cases == 60 * 5 + 60 * 4 + 3 * (3 + 2)
+    assert cases == 60 * 5 + 60 * 4 + 3 * (3 + 2) + 1 + 3 * 2 * 7 * 3
+
+
+@pytest.mark.parametrize("diag,off,shift", [
+    ([np.nan, 2.0, 2.0], [-1.0, -1.0], 0.0),
+    ([-1.0, np.nan, -2.0], [-1.0, -1.0], 0.0),
+    ([1.0, 2.0, 3.0], [-1.0, -1.0], np.nan),
+    ([1.0, np.inf, 3.0], [-1.0, -1.0], 0.0),
+    ([1.0, 2.0, 3.0], [-1.0, np.nan], 0.0),
+    ([1.0, 2.0, 3.0], [-np.inf, -1.0], 0.0),
+    ([1.0, 2.0, 3.0], [-1.0, -1.0], -np.inf),
+    ([1e308, 2.0, 3.0], [-1e308, -1.0], 0.0),
+])
+def test_count_below_rejects_non_finite(diag, off, shift):
+    """A nan or inf entry or shift has no inertia to count, nor entries
+    whose scale max|diag| + max|offdiag| overflows to inf: they raise
+    instead of returning whatever count their comparisons make."""
+    with pytest.raises(ValueError, match="finite"):
+        count_below(np.array(diag), np.array(off), shift)
+
+
+# counts over eps = (0, .01, .05, .1, .2, .4, .8) of sweep_nu's fronts at
+# m = 1500, and the coarser lattice of the pair that settled them
+GOLDEN_CERTIFICATES = {
+    0.4: ((1, 1, 1, 1, 1, 1, 2), 1500),
+    1.0: ((1, 1, 1, 1, 1, 1, 2), 1500),
+    1.6: ((1, 1, 1, 1, 1, 2, 3), 1500),
+    2.2: ((1, 1, 1, 1, 1, 2, 4), 1500),
+    2.7945: ((1, 1, 1, 1, 1, 2, 4), 3000),
+    2.8: ((1, 1, 1, 1, 2, 2, 4), 1500),
+    3.4: ((1, 1, 1, 1, 2, 2, 4), 1500),
+    3.966: ((1, 1, 1, 2, 2, 3, 4), 3000),
+    4.0: ((1, 1, 2, 2, 2, 3, 4), 1500),
+    4.6: ((2, 2, 2, 2, 2, 3, 4), 1500),
+}
+
+
+@pytest.mark.parametrize("nu", sorted(GOLDEN_CERTIFICATES))
+def test_certificate_golden_counts(sweep_fronts, nu):
+    counts, m = GOLDEN_CERTIFICATES[nu]
+    cert = certify_front(sweep_fronts[nu], m=1500)
+    assert (cert.counts, cert.m, cert.satisfied) == (counts, m, nu != 4.6)
+    assert cert.richardson_ok and not any(cert.near_zero_flags)
 
 
 def test_zero_pivot_perturbation():

@@ -17,6 +17,8 @@ from frontlab.fronts import (FrontProfile, _build_profile,
                              operator_on_reference, ref_profile,
                              reference_front)
 
+from checks import taylor_steps_polyval
+
 
 def operator_on_reference_line(spec, x):
     """L[ref] on the line by slow Fourier quadrature (oracle).
@@ -267,6 +269,43 @@ def test_taylor_dense_output_solves_profile_equation(shots, a, length):
         assert dphi == pytest.approx(polyval(dt, polyder(c_phi)), abs=1e-15)
         d2phi = polyval(dt, polyder(c_dphi))
         assert abs(a * d2phi + dphi + 0.5 * (1.0 - phi ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("a,length", [(0.05, 80.0), (0.24, 80.0), (2.2, 220.0),
+                                      (4.6, 460.0)])
+def test_taylor_steps_equal_polyval_steps(monkeypatch, a, length):
+    """The shooting's steps, with Cauchy products from `map` and step ends
+    from `_horner`, are the steps of the generator sums and numpy
+    `polyval`: equal step ends and coefficients, bit for bit."""
+    calls = []
+    taylor = fronts.solve_ivp
+
+    def recording(*args):
+        calls.append((args, taylor(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(fronts, "solve_ivp", recording)
+    _shoot_normalized(a, make_grid(4096, length).x)
+    ((args, (ts, coefs)),) = calls
+    want_ts, want_coefs = taylor_steps_polyval(*args)
+    assert np.array_equal(ts, want_ts) and np.array_equal(coefs, want_coefs)
+
+
+def test_horner_is_polyval_bit_for_bit():
+    """`_horner` repeats numpy `polyval`'s operations on Python floats:
+    the same bits at x of either sign and on rows holding zeros."""
+    rng = np.random.default_rng(29)
+    rows = [[0.0] * 25, [-0.0], [-0.0, 0.0, -0.0], [1.0], [0.0, 1.0, 0.0]]
+    for _ in range(300):
+        c = rng.standard_normal(int(rng.integers(1, 26)))
+        c *= 10.0 ** rng.uniform(-6.0, 6.0, c.size)
+        c[rng.random(c.size) < 0.3] = 0.0
+        rows.append(c.tolist())
+    xs = [0.0, -0.0, 1.0, -1.0,
+          *(rng.standard_normal(40) * 10.0 ** rng.uniform(-4, 1, 40)).tolist()]
+    for c in rows:
+        for x in xs:
+            got, want = fronts._horner(x, c), polyval(x, np.array(c))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_taylor_stepper_fails_on_overflow():
