@@ -80,14 +80,14 @@ def count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> int:
     """Number of eigenvalues strictly below `shift` by Sylvester inertia.
 
     Pivots of the LDL^T factorization of T - shift*I are computed by the
-    Sturm recurrence; a vanishing pivot perturbs the shift by 1e-13 and
-    retries (three attempts), as exact ties make the count ambiguous: a
-    zero pivot shows as the next division's ZeroDivisionError, or as a zero
-    last pivot.  It runs on Python floats, at a fraction of numpy scalars'
-    cost and with their pivots: `b ** 2` is C `pow` on both (`b * b` is
-    not, in 1 value in 1000), taken once per distinct b, though where it
-    overflows only numpy's gives inf.  A non-finite entry or shift, or a
-    scale max|diag| + max|offdiag| that overflows, raises ValueError.
+    Sturm recurrence; a vanishing pivot lowers the shift by 16 ulps of the
+    scale max|diag| + max|offdiag| and retries (three attempts), as exact
+    ties make the count ambiguous: a zero pivot shows as the next division's
+    ZeroDivisionError, or as a zero last pivot.  It runs on Python floats,
+    at a fraction of numpy scalars' cost and with their pivots: `b ** 2` is
+    C `pow` on both (`b * b` is not, in 1 value in 1000), taken once per
+    distinct b, though where it overflows only numpy's gives inf.  A
+    non-finite entry or shift, or a scale that overflows, raises ValueError.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -116,7 +116,7 @@ def count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> int:
                     return count
         # downward keeps an eigenvalue tied with the shift out of the
         # strictly-below count
-        shift -= 1e-13 * max(scale, 1.0)
+        shift -= 16 * np.spacing(scale)
     raise CertificationError("pivot breakdown persists after shift perturbation")
 
 

@@ -5,9 +5,6 @@ handled by the Galilean change of frame and scale.  Profiles are stored as
 phi = ref + w where ref(x) = -tanh(x/2) carries the heteroclinic jump
 analytically and the correction w is periodic and decaying, so spectral
 calculus on w is Gibbs-free.
-
-Shooting steps its own Taylor series in numpy; only Newton imports scipy
-(scipy.sparse.linalg, at its first solve).
 """
 
 from __future__ import annotations
@@ -370,13 +367,11 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
     """Spectral Newton iteration on w in phi = ref + w, starting from w = 0.
 
     The linearized systems are solved in spectral space by preconditioned
-    LGMRES; the translational null direction is removed by pinning the
+    GMRES; the translational null direction is removed by pinning the
     phase through the constraint phi(0) = 0 (a post-hoc spectral shift
     would move the seam kink of algebraic-tail corrections off the grid
     and pollute the residual, so the constraint is kept inside Newton).
     """
-    from scipy.sparse.linalg import LinearOperator, lgmres
-
     spec.require_admissible()
     n, x = grid.n, grid.x
     g = operator_on_reference(spec, grid)
@@ -409,10 +404,8 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
             out[n] = z[n]
             return out
 
-        A = LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float)
-        M = LinearOperator((n + 1, n + 1), matvec=apply_prec, dtype=float)
         b = np.concatenate([rhs, [pin_value]])
-        sol, info = lgmres(A, b, M=M, rtol=1e-10, atol=0.0, maxiter=200)
+        sol, info = _gmres(matvec, apply_prec, b, rtol=1e-10)
         if info != 0:
             # accept a stagnated solve that is still accurate enough for a
             # Newton step; otherwise report the (near-)singular linearization
@@ -454,6 +447,38 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
     wf = Field(grid, w)
     return _build_profile(grid, t0 + w, t1 + derivative(wf, 1).values, spec,
                           "newton", phi_second=ref_d2(x) + derivative(wf, 2).values)
+
+
+GMRES_RESTART, GMRES_CYCLES = 100, 20  # Arnoldi basis length; cycle cap
+
+
+def _gmres(matvec, prec, b, rtol):
+    """GMRES(GMRES_RESTART) with right preconditioning x = M y (Saad &
+    Schultz 1986) on an Arnoldi basis of A M from classical Gram-Schmidt
+    applied twice.  Returns (x, info): info = 0 once ||b - A x|| <= rtol
+    ||b||, else the number of cycles spent."""
+    x, target = np.zeros_like(b), rtol * np.linalg.norm(b)
+    for cycle in range(GMRES_CYCLES + 1):
+        r = b - matvec(x)
+        beta = np.linalg.norm(r)
+        if beta <= target or cycle == GMRES_CYCLES:
+            return x, 0 if beta <= target else cycle
+        basis = np.zeros((GMRES_RESTART + 1, b.size))
+        hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        basis[0], e1 = r / beta, beta * np.eye(1, GMRES_RESTART + 1)[0]
+        for j in range(GMRES_RESTART):
+            v = matvec(prec(basis[j]))
+            for _ in range(2):
+                c = basis[:j + 1] @ v
+                v -= c @ basis[:j + 1]
+                hess[:j + 1, j] += c
+            hess[j + 1, j] = np.linalg.norm(v)
+            h = hess[:j + 2, :j + 1]
+            y = np.linalg.lstsq(h, e1[:j + 2])[0]
+            if np.linalg.norm(h @ y - e1[:j + 2]) <= target or not hess[j + 1, j]:
+                break
+            basis[j + 1] = v / hess[j + 1, j]
+        x = x + prec(y @ basis[:j + 1])
 
 
 def _sigma_min_probe(matvec, n, trials: int = 8) -> float:

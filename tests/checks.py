@@ -9,6 +9,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
+from scipy.sparse.linalg import LinearOperator, lgmres
 
 from frontlab import (Field, apply_multiplier, band_project,
                       kernel_positivity_check, lp_norm, make_grid)
@@ -272,7 +273,7 @@ def sturm_count_numpy_scalars(diag, offdiag, shift):
                 count += d < 0.0
         if pivot_ok:
             return int(count)
-        shift -= 1e-13 * max(scale, 1.0)
+        shift -= 16 * np.spacing(scale)
     return None  # pivot breakdown
 
 
@@ -383,3 +384,13 @@ def cole_hopf_whole_array(u0, t, antiderivative=_cole_hopf_antiderivative):
     fine = solve(int(1.5 * n_panels) + 2)
     assert np.max(np.abs(coarse - fine)) <= 5e-7
     return Field(u0.grid, fine)
+
+
+def lgmres_solve(matvec, prec, b, rtol):
+    """`fronts._gmres` by scipy's LGMRES (Baker, Jessup & Manteuffel 2005),
+    with the tolerances and iteration cap Newton used before it had its own
+    GMRES: rtol of ||b||, atol 0, 200 outer iterations."""
+    shape = (b.size, b.size)
+    return lgmres(LinearOperator(shape, matvec=matvec, dtype=float), b,
+                  M=LinearOperator(shape, matvec=prec, dtype=float),
+                  rtol=rtol, atol=0.0, maxiter=200)

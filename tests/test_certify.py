@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from frontlab import certify_front, closed_form_burgers, \
     count_negative_eigenvalues, make_grid, schrodinger_tridiagonal, \
@@ -89,8 +89,18 @@ def sturm_cases(rng):
         off[rng.integers(0, m - 1)] = big
         yield diag, off, [0.0, 0.5, diag[0]]
     # pivots -1e-14, 1, 2 - 1/1 = 1 and 1 - 1/1 = 0: only the last one
-    # vanishes, and the retry's downward shift also leaves -1e-14 above it
+    # vanishes, and the retry's downward shift keeps -1e-14 below it
     yield np.array([-1e-14, 1.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0]), [0.0]
+
+
+def test_count_below_retry_keeps_nearby_eigenvalue():
+    """The retry after a zero last pivot lowers the shift by a few ulps of
+    the scale, so the eigenvalue at -1e-14 stays below 0: the count is the
+    dense one."""
+    diag, off = np.array([-1e-14, 1.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0])
+    want = int(np.sum(eigvalsh_tridiagonal(diag, off) < 0.0))
+    assert want == 1
+    assert count_below(diag, off, 0.0) == want
 
 
 # sweep_nu's fronts: n = 4096, box max(120, 100 nu), tolerance 1e-6

@@ -725,8 +725,8 @@ SCIPY_MODULES = ("sorted(m for m in sys.modules "
 
 
 def test_import_and_rates_load_no_scipy(tmp_path):
-    """`import frontlab` and `rates` on a finished run load no scipy: each
-    solver imports its scipy piece when it is first used."""
+    """`import frontlab` and `rates` on a finished run load no scipy
+    module, with scipy installed and importable."""
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG)
     out = tmp_path / "run"
@@ -772,3 +772,52 @@ print(code, len(calls), {SCIPY_MODULES})
 """).splitlines()
     assert printed[0] == "1 []"
     assert printed[-1] == "0 2 []"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    """scipy is a test-only dependency: with `import scipy` raising
+    ImportError, every command exits 0 and loads no scipy module: fronts by
+    closed form, shooting and Newton (a preset and an expression), both
+    certify modes, simulate and sweep on a Newton front, simulate on a
+    shooting front, the oracle and rates."""
+    frac = tmp_path / "frac.ini"
+    frac.write_text(short_config(0.4).replace("preset = kdvb\nnu = -0.24",
+                                              "preset = frac\nterms = 1.0:0.5"))
+    kdvb = tmp_path / "kdvb.ini"
+    kdvb.write_text(CONFIG)
+    out = str(tmp_path)
+    commands = [
+        ["front", "--preset", "burgers", "--n", "256", "--length", "40",
+         "--out", f"{out}/pb"],
+        ["front", "--preset", "kdvb", "--nu", "-0.24", "--n", "512",
+         "--out", f"{out}/pk"],
+        ["front", "--preset", "bo", "--n", "512", "--out", f"{out}/pbo"],
+        ["front", "--operator=-(abs(k))^1", "--n", "256", "--length", "40",
+         "--out", f"{out}/pf"],
+        ["certify", "--profile", f"{out}/pbo", "--fd-points", "400",
+         "--out", f"{out}/c.json"],
+        ["certify", "--sweep-nu", "4.0:4.6:0.6", "--fd-points", "1500",
+         "--out", f"{out}/s.csv"],
+        ["simulate", "--config", str(frac), "--out", f"{out}/rf"],
+        ["simulate", "--config", str(kdvb), "--out", f"{out}/rk"],
+        ["sweep", "--config", str(frac), "--out", f"{out}/sw",
+         "--set", "stepper.dealias=true,false"],
+        ["oracle", "--preset", "burgers", "--n", "256", "--length", "40",
+         "--times", "0.5"],
+        ["rates", "--run", f"{out}/rk"],
+    ]
+    printed = fresh_python(f"""
+import sys, warnings
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {{name}}")
+
+sys.meta_path.insert(0, NoScipy())
+warnings.simplefilter("ignore")
+from frontlab import cli
+print([cli.main(args) for args in {commands!r}])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""").splitlines()
+    assert printed[-2:] == [str([0] * len(commands)), "[]"]

@@ -17,7 +17,7 @@ from frontlab.fronts import (FrontProfile, _build_profile,
                              operator_on_reference, ref_profile,
                              reference_front)
 
-from checks import taylor_steps_polyval
+from checks import lgmres_solve, taylor_steps_polyval
 
 
 def operator_on_reference_line(spec, x):
@@ -359,6 +359,72 @@ def test_newton_rejects_inadmissible(grid_std):
     from frontlab.symbols import SymbolError
     with pytest.raises(SymbolError):
         newton_front(spec_from_text("k^2"), grid_std)
+
+
+def test_gmres_solves_nonsymmetric_system():
+    """A seeded nonsymmetric system with eigenvalues spread over [1, 1000],
+    solved to rtol: in one cycle with the diagonal as right preconditioner,
+    and over restarts without one."""
+    rng = np.random.default_rng(30)
+    n = 400
+    d = np.linspace(1.0, 1000.0, n)
+    a = np.diag(d) + rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    for prec, one_cycle in ((lambda z: z / d, True), (lambda z: z, False)):
+        calls = []
+        x, info = fronts._gmres(lambda z: calls.append(z) or a @ z, prec, b, 1e-10)
+        assert info == 0
+        assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
+        assert (len(calls) <= fronts.GMRES_RESTART + 1) == one_cycle
+
+
+def test_gmres_reports_unsolvable_system():
+    """A singular matrix and a right-hand side outside its range: no x meets
+    rtol, so the cycles run out and info is nonzero."""
+    rng = np.random.default_rng(31)
+    u, _, vt = np.linalg.svd(rng.standard_normal((30, 30)))
+    s = np.linspace(1.0, 2.0, 30)
+    s[-1] = 0.0
+    a = (u * s) @ vt
+    b = u[:, 0] + u[:, -1]
+    x, info = fronts._gmres(lambda z: a @ z, lambda z: z, b, 1e-10)
+    assert info == fronts.GMRES_CYCLES
+    assert np.all(np.isfinite(x))
+
+
+def test_newton_stagnated_solve(monkeypatch, grid_std):
+    """A linear solve that reports no convergence is accepted when its
+    residual is within 1e-6, and otherwise raises FrontError."""
+    gmres = fronts._gmres
+    monkeypatch.setattr(fronts, "_gmres", lambda *a, rtol: (gmres(*a, rtol)[0], 1))
+    spec = preset("bo")
+    want = newton_front(spec, grid_std, tol=1e-9)
+    monkeypatch.undo()
+    assert np.array_equal(want.phi.values,
+                          newton_front(spec, grid_std, tol=1e-9).phi.values)
+    monkeypatch.setattr(fronts, "_gmres", lambda m, p, b, rtol: (0.5 * b, 1))
+    with pytest.raises(FrontError, match="linearized solve stagnated"):
+        newton_front(spec, grid_std)
+
+
+@pytest.mark.parametrize("spec,n,length", [
+    pytest.param(preset("bo"), 1024, 80.0, id="bo"),
+    pytest.param(preset("frac", terms=[(1.0, 0.5)]), 1024, 80.0, id="frac_1_half"),
+    pytest.param(preset("frac", terms=[(0.5, 0.5)]), 1024, 80.0, id="frac_half_half"),
+    pytest.param(preset("kdvb", nu=-6.0 / 25.0), 1024, 80.0, id="kdvb"),
+    pytest.param(preset("bo"), 4096, 160.0, id="bo_4096"),
+])
+def test_newton_matches_lgmres_oracle(monkeypatch, spec, n, length):
+    """Newton on frontlab's GMRES gives the fronts of Newton on scipy's
+    LGMRES: phi and phi' agree to 1e-13."""
+    grid = make_grid(n, length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = newton_front(spec, grid)
+        monkeypatch.setattr(fronts, "_gmres", lgmres_solve)
+        want = newton_front(spec, grid)
+    assert np.max(np.abs(got.phi.values - want.phi.values)) <= 1e-13
+    assert np.max(np.abs(got.phi_prime.values - want.phi_prime.values)) <= 1e-13
 
 
 def test_hypothesis_report_localization(burgers_front, kdvb_front):
