@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .config import RunConfig
 from .diagnostics import NormSeries
@@ -372,86 +371,66 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
 # Exact pure-Burgers solution via the heat substitution
 
 
-def _cole_hopf_antiderivative(u0: Field):
-    """c0, lam0 of the split u0 = c0 + lam0 * ref + w, and U(y) = int_0^y u0."""
-    grid = u0.grid
-    edge = max(4, grid.n // 128)
-    u_minus = float(np.mean(u0.values[:edge]))
-    u_plus = float(np.mean(u0.values[-edge:]))
-    lam0, c0 = 0.5 * (u_minus - u_plus), 0.5 * (u_minus + u_plus)
-    w = u0.values - c0 - lam0 * ref_profile(grid.x)
-    mean_w = float(np.mean(w))
-    fine, half = Grid(16 * grid.n, grid.length), grid.n // 2
-    what, pad = np.fft.fft(w) * 16, np.zeros(16 * grid.n, dtype=complex)
-    pad[:half], pad[-half:] = what[:half], what[-half:]
-    slope = fine.h * (np.fft.ifft(pad).real - mean_w)  # per cell width
-    pad[0] = 0.0  # drop mean_w; i*k, not fine.ik, whose Nyquist 0 gives 0/0
-    pad[1:] /= 1j * fine.k[1:]
-    anti = np.fft.ifft(pad).real
-    anti -= anti[fine.n // 2]  # the node x = 0
-    # on each (periodic) fine cell, the Hermite cubic in the cell coordinate
-    rise, m0, m1 = np.roll(anti, -1) - anti, slope, np.roll(slope, -1)
-    coef = np.stack([anti, m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise])
-    x_lo, x_hi = fine.x[[0, -1]]
-
-    def u0_antiderivative(y):
-        yc = np.clip(y, x_lo, x_hi)
-        s = (yc - x_lo) / fine.h
-        cell = s.astype(np.intp)
-        a, b, c, d = coef[:, cell]
-        s -= cell
-        core = a + s * (b + s * (c + s * d)) + mean_w * yc
-        return c0 * y - 2.0 * lam0 * np.log(np.cosh(0.5 * y)) + core
-    return c0, lam0, u0_antiderivative
+CH_TAPER = 170  # nodes from the kernel's reach to the middle of g's cut-off
 
 
 def cole_hopf_exact(u0: Field, t: float) -> Field:
     """Exact solution of u_t - u_xx + u*u_x = 0 from heteroclinic data.
 
-    With w0 = exp(-(1/2) * int_0^x u0), the solution is
+    theta = exp(-U/2), U(y) = int_0^y u0, solves the heat equation, and
+    u = -2 theta_x / theta.  With u0 = c0 + lam0 * ref + w (c0, lam0 from
+    the edge means), U = c0*y - 2*lam0*log cosh(y/2) + W, W the spectral
+    antiderivative of w at the nodes, held constant past the box ends.  A
+    logistic partition of unity of steepness |lam0| + 1/2 splits theta0 =
+    sum_+- e^{a y} g(y), a = (-c0 +- lam0)/2, each g bounded; the heat flow
+    maps e^{a y} g to e^{a x + a^2 t} (G_t * g)(x + 2at).  G_t * g and its
+    derivative are one FFT multiply by e^{-k^2 t} on the box lattice moved
+    by the whole nodes of 2at (the rest is a phase), padded by the kernel's
+    1e-18 reach 2 sqrt(t ln 1e18) and 2 * CH_TAPER more nodes, over which a
+    logistic cuts g to 1e-18.  Exponents are formed in log space and the
+    larger is factored out before dividing, so nothing overflows.  Each
+    term's roundoff is relative to theta when lam0 >= 0, as for every
+    front; for data rising across the box (lam0 < 0) it grows like
+    e^{-lam0 L/2}."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite (got {t})")
+    n, h, x = u0.grid.n, u0.grid.h, u0.grid.x
+    edge = max(4, n // 128)
+    u_minus = float(np.mean(u0.values[:edge]))
+    u_plus = float(np.mean(u0.values[-edge:]))
+    lam0, c0 = 0.5 * (u_minus - u_plus), 0.5 * (u_minus + u_plus)
+    w_hat = np.fft.rfft(u0.values - c0 - lam0 * ref_profile(x))
+    mean_w, w_hat[0] = w_hat[0].real / n, 0.0
+    w_hat[1:] /= 2j * np.pi * np.fft.rfftfreq(n, h)[1:]
+    big_w = np.fft.irfft(w_hat, n) + mean_w * x
+    big_w -= big_w[n // 2]  # the node x = 0 for even n; a constant cancels in u
 
-        u(t,x) = [int ((x-y)/t) e^{-H/2} dy] / [int e^{-H/2} dy],
-        H(x,y) = int_0^y u0 + (x-y)^2 / (2t),
-
-    evaluated by composite Gauss-Legendre panels with the max of -H/2
-    factored out (w0 grows like e^{|x|/2} for front-like data).  The
-    integrand is truncated where it falls 1e-18 below its peak.  int_0^y u0
-    is closed-form for the front part and, for the decaying rest, a cubic
-    Hermite on a 16x finer grid through the exact antiderivative and slopes
-    of its trigonometric interpolant.  Rows of x are summed in blocks of 64,
-    so the work arrays are 64 x (nodes), not n x (nodes): at n = 4096, t = 1
-    the traced peak is 7.0 MB, not 128 MB."""
-    if t <= 0.0:
-        raise ValueError("time must be positive")
-    x = u0.grid.x
-    c0, lam0, u0_antiderivative = _cole_hopf_antiderivative(u0)
-
-    def solve(n_panels):
-        reach = np.sqrt(2.0 * t * np.log(1e18)) + 2.0 * t * (abs(c0) + abs(lam0)) + 6.0
-        qx, qw = leggauss(16)
-        edges = np.linspace(-reach, reach, n_panels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        offsets = (mids[:, None] + halfw[:, None] * qx[None, :]).ravel()
-        wts = (halfw[:, None] * qw[None, :]).ravel()
-
-        out = np.empty(x.size)
-        for r0 in range(0, x.size, 64):  # each row is its own sum
-            xb = x[r0:r0 + 64, None]
-            y = xb + offsets
-            diff = xb - y
-            h_exp = -0.5 * (u0_antiderivative(y) + diff ** 2 / (2.0 * t))
-            h_exp -= np.max(h_exp, axis=1, keepdims=True)
-            weight = np.exp(h_exp) * wts
-            out[r0:r0 + 64] = np.sum(diff / t * weight, axis=1) / np.sum(weight, axis=1)
-        return out
-
-    n_panels = max(24, int(np.ceil((np.sqrt(2.0 * t * np.log(1e18)) + 6.0))))
-    coarse = solve(n_panels)
-    fine = solve(int(1.5 * n_panels) + 2)
-    if np.max(np.abs(coarse - fine)) > 5e-7:
-        raise RuntimeError("quadrature did not converge for the exact solution")
-    return Field(u0.grid, fine)
+    reach = int(np.ceil(2.0 * np.sqrt(t * np.log(1e18)) / h)) + 1
+    pad = reach + 2 * CH_TAPER
+    size = n + 2 * pad
+    j = np.arange(size) - pad  # node index relative to the box's first node
+    k = 2.0 * np.pi * np.fft.rfftfreq(size, h)
+    cut = np.logaddexp(0.0, 0.25 * (np.abs(j - 0.5 * (n - 1)) - 0.5 * (n - 1)
+                                    - reach - CH_TAPER))
+    beta = abs(lam0) + 0.5
+    terms = []
+    for sign in (1.0, -1.0):
+        a = 0.5 * (sign * lam0 - c0)
+        shift = round(2.0 * a * t / h)
+        y = x[0] + h * (j + shift)
+        # log of theta0 * e^{-a y} times the partition weight and the cut
+        log_g = (lam0 * (np.logaddexp(0.0, -sign * y) - np.log(2.0))
+                 - np.logaddexp(0.0, -sign * beta * y)
+                 - 0.5 * big_w[np.clip(j + shift, 0, n - 1)] - cut)
+        top = np.max(log_g)
+        g_hat = np.fft.rfft(np.exp(log_g - top))
+        g_hat *= np.exp(-k * k * t + 1j * k * (2.0 * a * t - h * shift))
+        conv, slope = np.fft.irfft([g_hat, 1j * k * g_hat], size)[:, pad:pad + n]
+        terms.append((a * x + a * a * t + top, conv, a * conv + slope))
+    (log_p, conv_p, deriv_p), (log_m, conv_m, deriv_m) = terms
+    top = np.maximum(log_p, log_m)
+    e_p, e_m = np.exp(log_p - top), np.exp(log_m - top)
+    return Field(u0.grid, -2.0 * (e_p * deriv_p + e_m * deriv_m) / (e_p * conv_p + e_m * conv_m))
 
 
 # ---------------------------------------------------------------------------

@@ -455,8 +455,11 @@ GMRES_RESTART, GMRES_CYCLES = 100, 20  # Arnoldi basis length; cycle cap
 def _gmres(matvec, prec, b, rtol):
     """GMRES(GMRES_RESTART) with right preconditioning x = M y (Saad &
     Schultz 1986) on an Arnoldi basis of A M from classical Gram-Schmidt
-    applied twice.  Returns (x, info): info = 0 once ||b - A x|| <= rtol
-    ||b||, else the number of cycles spent."""
+    applied twice.  Givens rotations keep the Hessenberg matrix upper
+    triangular as it grows, so the residual of the least-squares problem
+    is |g[j + 1]| and each cycle ends with one triangular solve.  Returns
+    (x, info): info = 0 once ||b - A x|| <= rtol ||b||, else the number of
+    cycles spent."""
     x, target = np.zeros_like(b), rtol * np.linalg.norm(b)
     for cycle in range(GMRES_CYCLES + 1):
         r = b - matvec(x)
@@ -465,20 +468,29 @@ def _gmres(matvec, prec, b, rtol):
             return x, 0 if beta <= target else cycle
         basis = np.zeros((GMRES_RESTART + 1, b.size))
         hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
-        basis[0], e1 = r / beta, beta * np.eye(1, GMRES_RESTART + 1)[0]
+        rot = np.zeros((GMRES_RESTART, 2))  # (cos, sin) of each rotation
+        basis[0], g = r / beta, beta * np.eye(1, GMRES_RESTART + 1)[0]
+        m = 0  # columns of the triangular factor
         for j in range(GMRES_RESTART):
             v = matvec(prec(basis[j]))
             for _ in range(2):
                 c = basis[:j + 1] @ v
                 v -= c @ basis[:j + 1]
                 hess[:j + 1, j] += c
-            hess[j + 1, j] = np.linalg.norm(v)
-            h = hess[:j + 2, :j + 1]
-            y = np.linalg.lstsq(h, e1[:j + 2])[0]
-            if np.linalg.norm(h @ y - e1[:j + 2]) <= target or not hess[j + 1, j]:
+            sub = hess[j + 1, j] = np.linalg.norm(v)
+            col = hess[:, j]
+            for i, (cs, sn) in enumerate(rot[:j]):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            diag = np.hypot(col[j], sub)
+            if diag <= 1e-14 * np.linalg.norm(col):  # A M v_j adds no direction
                 break
-            basis[j + 1] = v / hess[j + 1, j]
-        x = x + prec(y @ basis[:j + 1])
+            rot[j], col[j], col[j + 1] = col[j:j + 2] / diag, diag, 0.0
+            g[j], g[j + 1], m = rot[j, 0] * g[j], -rot[j, 1] * g[j], j + 1
+            if abs(g[j + 1]) <= target or not sub:
+                break
+            basis[j + 1] = v / sub
+        y = np.linalg.solve(hess[:m, :m], g[:m])
+        x = x + prec(y @ basis[:m])
 
 
 def _sigma_min_probe(matvec, n, trials: int = 8) -> float:

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from frontlab import (Field, apply_multiplier, band_project,
                       kernel_positivity_check, lp_norm, make_grid)
 from frontlab.diagnostics import NormSeries
-from frontlab.evolution import _cole_hopf_antiderivative, _EtdRk4
+from frontlab.evolution import _EtdRk4
 from frontlab.fronts import FrontError, ref_profile
 from frontlab.spectral import weighted_l2
 
@@ -316,10 +316,11 @@ def trig_interpolate_262144(grid, values, points):
 
 
 def cubic_spline_antiderivative(u0):
-    """`evolution._cole_hopf_antiderivative` as a global not-a-knot cubic
-    spline through the antiderivative of w on the 16x zero-padded grid,
-    taken by a second FFT round trip; its slopes come from the spline's
-    own tridiagonal solve, not from w."""
+    """(c0, lam0, int_0^y u0) for u0 = c0 + lam0 * ref + w, with c0, lam0
+    from the edge means as in `evolution.cole_hopf_exact`, and the integral
+    of w a global not-a-knot cubic spline through the antiderivative of w
+    on the 16x zero-padded grid, taken by a second FFT round trip; its
+    slopes come from the spline's own tridiagonal solve, not from w."""
     grid = u0.grid
     edge = max(4, grid.n // 128)
     u_minus = float(np.mean(u0.values[:edge]))
@@ -354,10 +355,16 @@ def cubic_spline_antiderivative(u0):
     return c0, lam0, u0_antiderivative
 
 
-def cole_hopf_whole_array(u0, t, antiderivative=_cole_hopf_antiderivative):
-    """`evolution.cole_hopf_exact` with each quadrature evaluated on the
-    whole n x (nodes) array at once, not on blocks of rows of x, through
-    `antiderivative(u0)` = (c0, lam0, int_0^y u0)."""
+def cole_hopf_whole_array(u0, t, antiderivative=cubic_spline_antiderivative):
+    """The exact Burgers solution by the Cole-Hopf integrals
+
+        u(t,x) = [int ((x-y)/t) e^{-H/2} dy] / [int e^{-H/2} dy],
+        H(x,y) = int_0^y u0 + (x-y)^2 / (2t),
+
+    on composite 16-point Gauss-Legendre panels over the whole n x (nodes)
+    array at once, with the max of -H/2 factored out per row and the
+    integrand truncated 1e-18 below its peak, through `antiderivative(u0)`
+    = (c0, lam0, int_0^y u0); a finer panel set must agree to 5e-7."""
     x = u0.grid.x
     c0, lam0, u0_antiderivative = antiderivative(u0)
 

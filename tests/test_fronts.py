@@ -380,7 +380,8 @@ def test_gmres_solves_nonsymmetric_system():
 
 def test_gmres_reports_unsolvable_system():
     """A singular matrix and a right-hand side outside its range: no x meets
-    rtol, so the cycles run out and info is nonzero."""
+    rtol, so the cycles run out and info is nonzero, with x at the least
+    residual, the part of b outside the range."""
     rng = np.random.default_rng(31)
     u, _, vt = np.linalg.svd(rng.standard_normal((30, 30)))
     s = np.linspace(1.0, 2.0, 30)
@@ -390,6 +391,7 @@ def test_gmres_reports_unsolvable_system():
     x, info = fronts._gmres(lambda z: a @ z, lambda z: z, b, 1e-10)
     assert info == fronts.GMRES_CYCLES
     assert np.all(np.isfinite(x))
+    assert np.linalg.norm(b - a @ x) <= 1.0 + 1e-10
 
 
 def test_newton_stagnated_solve(monkeypatch, grid_std):
