@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 from .symbols import (AdmissibilityReport, MultiplierSpec, SymbolError,
                       SymbolExpr, eval_symbol, parse_symbol, preset,
                       rescale_symbol, spec_from_text, validate_admissibility)
-from .spectral import (Field, Grid, apply_multiplier, band_project, derivative,
-                       kernel_positivity_check, lp_norm, make_grid,
-                       weighted_l2)
+from .spectral import (Field, Grid, apply_multiplier, derivative, lp_norm,
+                       make_grid, weighted_l2)
 from .fronts import (FrontError, FrontProfile, GalileanParams,
-                     closed_form_burgers, denormalize_solution,
-                     front_for_operator, galilean_normalize, newton_front,
-                     profile_residual, shoot_local_front)
+                     closed_form_burgers, front_for_operator,
+                     galilean_normalize, newton_front, profile_residual,
+                     shoot_local_front)
 from .certify import (SpectralCertificate, certify_front,
                       count_negative_eigenvalues, schrodinger_tridiagonal,
                       sweep_nu)

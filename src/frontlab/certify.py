@@ -264,9 +264,6 @@ def sweep_nu(nu_values: Sequence[float],
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(j) for j in jobs]
-    threshold = float("nan")
-    for row in rows:
-        if row.satisfied and (np.isnan(threshold)
-                              or abs(row.nu) > abs(threshold)):
-            threshold = row.nu
+    threshold = max((r.nu for r in rows if r.satisfied), key=abs,
+                    default=float("nan"))
     return rows, threshold

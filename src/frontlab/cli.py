@@ -10,7 +10,7 @@ import argparse
 import concurrent.futures
 import configparser
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,7 @@ FLAG_KEYS = {"--preset": "operator.preset", "--nu": "operator.nu",
              "--model": "diagnostics.model", "--window": "diagnostics.fit_window",
              "--delta": "diagnostics.delta"}
 _OPERATOR_FLAGS = ("--preset", "--nu", "--terms", "--operator", "--n", "--length")
+MAX_SWEEP_ROWS = 10 ** 6  # --sweep-nu values, refused before the list is built
 
 
 def _add_key_flags(p, *flags):
@@ -89,11 +90,8 @@ def _check_config(cfg: RunConfig):
     cannot run fails here, before any front work."""
     spec = operator_from_config(cfg)
     grid = make_grid(cfg.n, cfg.length)
-    stepper_cfg = StepperConfig(
-        dt=cfg.dt, t_end=cfg.t_end, gamma=cfg.gamma, dealias=cfg.dealias,
-        record_every=cfg.record_every, snapshot_every=cfg.snapshot_every,
-        p_list=cfg.p_list,
-    )
+    stepper_cfg = StepperConfig(**{f.name: getattr(cfg, f.name)
+                                   for f in fields(StepperConfig)})
     v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
     check_settings(cfg.eps_samples, cfg.fd_points)
     window = cfg.window()
@@ -142,8 +140,11 @@ def _parse_sweep_range(text: str) -> list[float]:
             and start <= stop):
         raise ValueError(f"--sweep-nu {text!r}: need finite START:STOP:STEP "
                          "with START <= STOP and STEP > 0")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if not count <= MAX_SWEEP_ROWS:  # also refuses an infinite count
+        raise ValueError(f"--sweep-nu {text!r}: {count:.0f} values, more than "
+                         f"{MAX_SWEEP_ROWS}")
+    return [start + i * step for i in range(int(count))]
 
 
 def cmd_certify(args) -> int:

@@ -1,16 +1,18 @@
 """Run configuration: flat INI-style text with [section] headers.
 
-Every key is one row of FIELDS, which drives parsing, writing and the
-`frontlab` flags and `sweep --set`; a config round-trips bit-identically
-through to_ini/from_ini once in canonical form.  RunConfig's defaults are
-the only ones: library signatures name them as `RunConfig.<field>`.
+Each key is one RunConfig field whose metadata gives its section, INI
+name and value type; FIELDS is derived from those fields and drives
+parsing, writing, the `frontlab` flags and `sweep --set`.  A config
+round-trips bit-identically through to_ini/from_ini once in canonical
+form.  RunConfig's defaults are the only ones: library signatures name
+them as `RunConfig.<field>`.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .symbols import MultiplierSpec, preset, spec_from_text
 
@@ -18,40 +20,43 @@ __all__ = ["FIELDS", "KEYS", "RunConfig", "operator_from_config", "parse_value",
            "set_key"]
 
 
+def _key(section: str, default, kind: str = "", name: str = ""):
+    """The field of INI key `section.name`, name being the field's own
+    unless given, with value type `kind`, its annotation unless given.
+    Types: str, int, float, bool, floats (comma list) and pairs (comma
+    list of a:alpha).  A key whose default is empty (None, "" or ()) is
+    optional: to_ini leaves it out while it is empty."""
+    return field(default=default,
+                 metadata={"section": section, "kind": kind, "name": name})
+
+
 @dataclass
 class RunConfig:
-    # operator
-    preset: str = "burgers"
-    nu: float | None = None
-    terms: tuple = ()            # ((a, alpha), ...) for the fractional preset
-    expression: str = ""         # overrides preset when nonempty
-    # grid
-    n: int = 1024
-    length: float = 80.0
-    # front
-    front_tol: float = 1e-8
-    # certificate
-    eps_samples: tuple = (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)
-    fd_points: int = 2000
-    # perturbation
-    kind: str = "gaussian"
-    amplitude: float = 0.5
-    width: float = 1.0
-    seed: int = 0
-    # stepper
-    dt: float = 2e-3
-    gamma: float = 1.1
-    dealias: bool = True
-    t_end: float = 50.0
-    record_every: int = 25
-    snapshot_every: int = 0
-    # diagnostics
-    p_list: tuple = (1.5, 3.0, 4.0)
-    fit_window: tuple = ()       # empty -> (t_end/4, t_end)
-    delta: float = 0.05
-    model: str = ""              # kdvb|frac_odd|empty
-    # output
-    directory: str = "run"
+    preset: str = _key("operator", "burgers")
+    nu: float | None = _key("operator", None, "float")
+    terms: tuple = _key("operator", (), "pairs")  # ((a, alpha), ...) for frac
+    expression: str = _key("operator", "")        # overrides preset when nonempty
+    n: int = _key("grid", 1024)
+    length: float = _key("grid", 80.0)
+    front_tol: float = _key("front", 1e-8, name="tol")
+    eps_samples: tuple = _key("certificate", (0.01, 0.05, 0.1, 0.2, 0.4, 0.8),
+                              "floats", "eps")
+    fd_points: int = _key("certificate", 2000)
+    kind: str = _key("perturbation", "gaussian")
+    amplitude: float = _key("perturbation", 0.5)
+    width: float = _key("perturbation", 1.0)
+    seed: int = _key("perturbation", 0)
+    dt: float = _key("stepper", 2e-3)
+    gamma: float = _key("stepper", 1.1)
+    dealias: bool = _key("stepper", True)
+    t_end: float = _key("stepper", 50.0)
+    record_every: int = _key("stepper", 25)
+    snapshot_every: int = _key("stepper", 0)
+    p_list: tuple = _key("diagnostics", (1.5, 3.0, 4.0), "floats")
+    fit_window: tuple = _key("diagnostics", (), "floats")  # empty -> (t_end/4, t_end)
+    delta: float = _key("diagnostics", 0.05)
+    model: str = _key("diagnostics", "")          # kdvb|frac_odd|empty
+    directory: str = _key("output", "run")
 
     def window(self) -> tuple[float, float]:
         window = tuple(self.fit_window) or (self.t_end / 4.0, self.t_end)
@@ -91,36 +96,10 @@ class RunConfig:
         return cfg
 
 
-# One row per INI key: (section, key, RunConfig attribute, value type).
-# Types: str, int, float, bool, floats (comma list) and pairs (comma list
-# of a:alpha).  A key whose RunConfig default is empty (None, "" or ())
-# is optional: to_ini leaves it out while it is empty.
-FIELDS = (
-    ("operator", "preset", "preset", "str"),
-    ("operator", "nu", "nu", "float"),
-    ("operator", "terms", "terms", "pairs"),
-    ("operator", "expression", "expression", "str"),
-    ("grid", "n", "n", "int"),
-    ("grid", "length", "length", "float"),
-    ("front", "tol", "front_tol", "float"),
-    ("certificate", "eps", "eps_samples", "floats"),
-    ("certificate", "fd_points", "fd_points", "int"),
-    ("perturbation", "kind", "kind", "str"),
-    ("perturbation", "amplitude", "amplitude", "float"),
-    ("perturbation", "width", "width", "float"),
-    ("perturbation", "seed", "seed", "int"),
-    ("stepper", "dt", "dt", "float"),
-    ("stepper", "gamma", "gamma", "float"),
-    ("stepper", "dealias", "dealias", "bool"),
-    ("stepper", "t_end", "t_end", "float"),
-    ("stepper", "record_every", "record_every", "int"),
-    ("stepper", "snapshot_every", "snapshot_every", "int"),
-    ("diagnostics", "p_list", "p_list", "floats"),
-    ("diagnostics", "fit_window", "fit_window", "floats"),
-    ("diagnostics", "delta", "delta", "float"),
-    ("diagnostics", "model", "model", "str"),
-    ("output", "directory", "directory", "str"),
-)
+# One row per key, in field order: (section, key, RunConfig attribute,
+# value type); an annotation is its own text under postponed evaluation
+FIELDS = tuple((f.metadata["section"], f.metadata["name"] or f.name, f.name,
+                f.metadata["kind"] or f.type) for f in fields(RunConfig))
 # "section.key" -> (RunConfig attribute, value type)
 KEYS = {f"{section}.{key}": (attr, kind) for section, key, attr, kind in FIELDS}
 _SECTIONS = {section for section, _, _, _ in FIELDS}

@@ -80,9 +80,6 @@ class NormSeries:
             raise ValueError(f"the series has no column {name} for p = {p:g}")
         return self.column(name)
 
-    def __len__(self):
-        return len(self.t)
-
 
 @dataclass(frozen=True)
 class EnergyReport:

@@ -32,7 +32,6 @@ __all__ = [
     "newton_front",
     "profile_residual",
     "galilean_normalize",
-    "denormalize_solution",
     "front_for_operator",
     "reference_front",
     "operator_on_reference",
@@ -384,7 +383,8 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
     # The linearization J(d) = -d'' + (phi*d)' - L[d] is a total derivative,
     # so constants span its left null space while phi' spans the right
     # (translation) null space.  The bordered system therefore carries the
-    # constant vector as its column and <phi', .> = 0 as its row.
+    # constant vector as its column and the phase pin d(0) = -w(0) as its
+    # row, so a full step lands on phi(0) = 0.
     ones = np.full(n, 1.0 / np.sqrt(n))
 
     pin_index = n // 2  # x = 0 is a grid point; ref(0) = 0 so phi(0) = w(0)
@@ -529,23 +529,6 @@ def galilean_normalize(u_minus: float, u_plus: float,
     params = GalileanParams(u_minus=float(u_minus), u_plus=float(u_plus),
                             c=float(c), lam=float(lam))
     return params, rescale_symbol(spec, lam)
-
-
-def denormalize_solution(profile: FrontProfile, params: GalileanParams,
-                         t: float, points) -> np.ndarray:
-    """Map a normalized profile back: u(t,x) = lam*U(lam*x - c*lam^2*t) + c*lam."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    y = params.lam * pts - params.c * params.lam ** 2 * t
-    x_lo, x_hi = profile.grid.x[0], profile.grid.x[-1]
-    if np.min(y) < x_lo or np.max(y) > x_hi:
-        raise ValueError(
-            f"requested points map to [{np.min(y):.3g}, {np.max(y):.3g}] "
-            f"outside the representable domain [{x_lo:.3g}, {x_hi:.3g}]"
-        )
-    u = params.lam * profile.phi_at(y) + params.c * params.lam
-    if np.ndim(points) == 0:
-        return u[0]
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,17 @@
 
 Line problems are posed on a large periodic box; fields that decay fast
 enough near the box edge behave like line functions.  The Fourier
-convention pairs the angular wavenumber k = 2*pi*xi with d/dx <-> i*k;
-band cutoffs are expressed in the ordinary frequency xi.  The certificate
-evaluates phi' on its uniform FD lattices by one Bluestein (chirp-z)
-transform each, `trig_interpolate_lattice`; the dense mode sum
-`trig_interpolate` serves any points and is its test oracle.
+convention pairs the angular wavenumber k = 2*pi*xi with d/dx <-> i*k.
+The certificate evaluates phi' on its uniform FD lattices by one
+Bluestein (chirp-z) transform each, `trig_interpolate_lattice`; the
+dense mode sum `trig_interpolate` serves any points and is its test
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -26,9 +25,6 @@ __all__ = [
     "lp_norm",
     "lp_norms",
     "weighted_l2",
-    "band_project",
-    "kernel_positivity_check",
-    "KernelReport",
     "trig_interpolate",
     "trig_interpolate_lattice",
 ]
@@ -71,10 +67,6 @@ class Grid:
         return abs_x
 
     @property
-    def xi(self) -> np.ndarray:
-        return np.fft.fftfreq(self.n, d=self.h)
-
-    @property
     def modes(self) -> np.ndarray:
         return np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
 
@@ -105,10 +97,6 @@ class Field:
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_function(cls, grid: Grid, f: Callable[[np.ndarray], np.ndarray]) -> "Field":
-        return cls(grid, np.asarray(f(grid.x), dtype=float))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -169,56 +157,6 @@ def lp_norms(f: Field, ps) -> list[float]:
 def weighted_l2(f: Field) -> float:
     """(integral of f^2 |x| dx)^(1/2) by the rectangle rule."""
     return float(np.sqrt(f.grid.h * np.sum(f.values * f.values * f.grid.abs_x)))
-
-
-def band_project(f: Field, eps_freq: float) -> tuple[Field, Field]:
-    """Split f = low + high with spectrum of `low` inside |xi| < eps_freq."""
-    if not eps_freq > 0.0:
-        raise ValueError("band cutoff must be positive")
-    fhat = np.fft.fft(f.values)
-    mask = np.abs(f.grid.xi) < eps_freq
-    low = np.fft.ifft(np.where(mask, fhat, 0.0)).real
-    return Field(f.grid, low), Field(f.grid, f.values - low)
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    min_value: float
-    max_value: float
-    integral: float
-    positive: bool
-
-
-def kernel_positivity_check(operator_or_alpha, t: float,
-                            grid: Grid | None = None) -> KernelReport:
-    """Sample the convolution kernel of exp(t*l) and report its sign.
-
-    Accepts a fractional order alpha (meaning l(k) = -|k|^(2*alpha), the
-    semigroup exp(-t*(-d^2/dx^2)^alpha)) or a validated multiplier.
-    Heat-type kernels with alpha <= 1 are probability densities; for
-    alpha > 1 the kernel changes sign.
-    """
-    if not t > 0.0:
-        raise ValueError("time must be positive")
-    if grid is None:
-        grid = make_grid(2048, 160.0)
-    if np.isscalar(operator_or_alpha):
-        sym = -np.abs(grid.k) ** (2.0 * float(operator_or_alpha))
-    else:
-        sym = np.asarray(operator_or_alpha.values(grid.k))
-    weights = np.exp(t * sym)
-    # phase centers the kernel at x=0 on the [-L/2, L/2) grid
-    phase = np.where(grid.modes % 2 == 0, 1.0, -1.0)
-    kernel = np.fft.ifft(weights * phase) / grid.h
-    kmin = float(np.min(kernel.real))
-    kmax = float(np.max(kernel.real))
-    integral = float(grid.h * np.sum(kernel.real))
-    return KernelReport(
-        min_value=kmin,
-        max_value=kmax,
-        integral=integral,
-        positive=bool(kmin >= -1e-10 * max(kmax, 1e-300)),
-    )
 
 
 def trig_interpolate(grid: Grid, values: np.ndarray, points) -> np.ndarray:

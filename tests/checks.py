@@ -5,20 +5,79 @@ returns True when the inequality holds at the stated tolerance; suites
 run them for a fixed number of trials and report the failure count.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from frontlab import (Field, apply_multiplier, band_project,
-                      kernel_positivity_check, lp_norm, make_grid)
+from frontlab import Field, apply_multiplier, lp_norm, make_grid
 from frontlab.diagnostics import NormSeries
 from frontlab.evolution import _EtdRk4
 from frontlab.fronts import FrontError, ref_profile
 from frontlab.spectral import weighted_l2
 
 GRID = make_grid(1024, 80.0)
+
+
+def band_project(f, eps_freq):
+    """Split f = low + high with spectrum of `low` inside |xi| < eps_freq,
+    xi the ordinary frequency (k = 2*pi*xi)."""
+    if not eps_freq > 0.0:
+        raise ValueError("band cutoff must be positive")
+    fhat = np.fft.fft(f.values)
+    mask = np.abs(np.fft.fftfreq(f.grid.n, f.grid.h)) < eps_freq
+    low = np.fft.ifft(np.where(mask, fhat, 0.0)).real
+    return Field(f.grid, low), Field(f.grid, f.values - low)
+
+
+@dataclass(frozen=True)
+class KernelReport:
+    min_value: float
+    max_value: float
+    integral: float
+    positive: bool
+
+
+def kernel_positivity_check(operator_or_alpha, t, grid=None):
+    """Sample the convolution kernel of exp(t*l) and report its sign.
+
+    Accepts a fractional order alpha (meaning l(k) = -|k|^(2*alpha), the
+    semigroup exp(-t*(-d^2/dx^2)^alpha)) or a validated multiplier.
+    Heat-type kernels with alpha <= 1 are probability densities; for
+    alpha > 1 the kernel changes sign.
+    """
+    if not t > 0.0:
+        raise ValueError("time must be positive")
+    if grid is None:
+        grid = make_grid(2048, 160.0)
+    if np.isscalar(operator_or_alpha):
+        sym = -np.abs(grid.k) ** (2.0 * float(operator_or_alpha))
+    else:
+        sym = np.asarray(operator_or_alpha.values(grid.k))
+    # phase centers the kernel at x=0 on the [-L/2, L/2) grid
+    phase = np.where(grid.modes % 2 == 0, 1.0, -1.0)
+    kernel = (np.fft.ifft(np.exp(t * sym) * phase) / grid.h).real
+    kmin, kmax = float(np.min(kernel)), float(np.max(kernel))
+    return KernelReport(min_value=kmin, max_value=kmax,
+                        integral=float(grid.h * np.sum(kernel)),
+                        positive=bool(kmin >= -1e-10 * max(kmax, 1e-300)))
+
+
+def denormalize_solution(profile, params, t, points):
+    """Map a normalized profile back: u(t,x) = lam*U(lam*x - c*lam^2*t) + c*lam."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    y = params.lam * pts - params.c * params.lam ** 2 * t
+    x_lo, x_hi = profile.grid.x[0], profile.grid.x[-1]
+    if np.min(y) < x_lo or np.max(y) > x_hi:
+        raise ValueError(
+            f"requested points map to [{np.min(y):.3g}, {np.max(y):.3g}] "
+            f"outside the representable domain [{x_lo:.3g}, {x_hi:.3g}]"
+        )
+    u = params.lam * profile.phi_at(y) + params.c * params.lam
+    return u[0] if np.ndim(points) == 0 else u
 
 
 def random_field(rng, band=None, localized=False):

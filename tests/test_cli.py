@@ -481,8 +481,17 @@ def test_certify_sweep_nu_rejects_flags_it_ignores(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["0:1e300:1e-300", "0:2e6:1"])
+def test_sweep_range_refuses_more_rows_than_it_builds(text):
+    """An infinite count, or one above MAX_SWEEP_ROWS, is refused before
+    the list of values is built."""
+    with pytest.raises(ValueError, match="^--sweep-nu "):
+        cli._parse_sweep_range(text)
+
+
 @pytest.mark.parametrize("text", ["0.4:1.6:0", "0.4:1.6:-0.6", "1.6:0.4:0.6",
-                                  "1:2", "1:2:0.5:4", "1:x:0.5"])
+                                  "1:2", "1:2:0.5:4", "1:x:0.5",
+                                  "0:1e300:1e-300"])
 def test_certify_sweep_nu_bad_range(tmp_path, capsys, text):
     out = tmp_path / "sweep.csv"
     assert run_cli(["certify", "--sweep-nu", text, "--out", str(out)]) == 1

@@ -8,16 +8,17 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from frontlab import (Field, FrontError, certify_front, closed_form_burgers,
-                      denormalize_solution, front_for_operator,
-                      galilean_normalize, lp_norm, make_grid, newton_front,
-                      preset, profile_residual, shoot_local_front)
+                      front_for_operator, galilean_normalize, lp_norm,
+                      make_grid, newton_front, preset, profile_residual,
+                      shoot_local_front)
 from frontlab import fronts
 from frontlab.fronts import (FrontProfile, _build_profile,
                              _check_vanishing_symbol, _shoot_normalized,
                              operator_on_reference, ref_profile,
                              reference_front)
 
-from checks import lgmres_solve, taylor_steps_polyval
+from checks import (denormalize_solution, lgmres_solve,
+                    taylor_steps_polyval)
 
 
 def operator_on_reference_line(spec, x):

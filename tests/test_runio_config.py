@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 from frontlab import Field, NormSeries, RunConfig, make_grid, preset
 from frontlab.cli import main
-from frontlab.config import operator_from_config
+from frontlab.config import FIELDS, KEYS, operator_from_config
+from frontlab.evolution import StepperConfig
 from frontlab.runio import (RunWriter, read_certificate, read_field_csv,
                             read_json, read_profile, read_run, read_series_csv,
                             to_json, write_certificate, write_field_csv,
@@ -158,6 +160,55 @@ def test_readme_config_loads():
     assert (cfg.preset, cfg.nu, cfg.n, cfg.kind, cfg.amplitude) == \
         ("kdvb", -0.24, 2048, "gaussian", 0.5)
     assert (cfg.p_list, cfg.model) == ((1.5, 4.0), "kdvb")
+    assert RunConfig.from_ini(cfg.to_ini()) == cfg
+
+
+# (section, INI key, RunConfig attribute, value type, default), in file order
+KEY_TABLE = (
+    ("operator", "preset", "preset", "str", "burgers"),
+    ("operator", "nu", "nu", "float", None),
+    ("operator", "terms", "terms", "pairs", ()),
+    ("operator", "expression", "expression", "str", ""),
+    ("grid", "n", "n", "int", 1024),
+    ("grid", "length", "length", "float", 80.0),
+    ("front", "tol", "front_tol", "float", 1e-8),
+    ("certificate", "eps", "eps_samples", "floats", (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)),
+    ("certificate", "fd_points", "fd_points", "int", 2000),
+    ("perturbation", "kind", "kind", "str", "gaussian"),
+    ("perturbation", "amplitude", "amplitude", "float", 0.5),
+    ("perturbation", "width", "width", "float", 1.0),
+    ("perturbation", "seed", "seed", "int", 0),
+    ("stepper", "dt", "dt", "float", 2e-3),
+    ("stepper", "gamma", "gamma", "float", 1.1),
+    ("stepper", "dealias", "dealias", "bool", True),
+    ("stepper", "t_end", "t_end", "float", 50.0),
+    ("stepper", "record_every", "record_every", "int", 25),
+    ("stepper", "snapshot_every", "snapshot_every", "int", 0),
+    ("diagnostics", "p_list", "p_list", "floats", (1.5, 3.0, 4.0)),
+    ("diagnostics", "fit_window", "fit_window", "floats", ()),
+    ("diagnostics", "delta", "delta", "float", 0.05),
+    ("diagnostics", "model", "model", "str", ""),
+    ("output", "directory", "directory", "str", "run"),
+)
+
+
+def test_config_key_table_is_pinned():
+    assert FIELDS == tuple(row[:4] for row in KEY_TABLE)
+    assert list(KEYS) == [f"{section}.{key}" for section, key, *_ in KEY_TABLE]
+    defaults = RunConfig()
+    for _, _, attr, _, default in KEY_TABLE:
+        assert getattr(RunConfig, attr) == default, attr
+        assert type(getattr(defaults, attr)) is type(default), attr
+        assert getattr(defaults, attr) == default, attr
+
+
+def test_stepper_settings_are_run_settings():
+    """`_check_config` copies StepperConfig's fields from RunConfig by name."""
+    run_settings = {f.name for f in dataclasses.fields(RunConfig)}
+    for field in dataclasses.fields(StepperConfig):
+        assert field.name in run_settings
+        if field.default is not dataclasses.MISSING:
+            assert field.default == getattr(RunConfig, field.name), field.name
 
 
 def test_operator_from_config_variants():

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from frontlab import (Field, apply_multiplier, band_project,
-                      closed_form_burgers, derivative,
-                      kernel_positivity_check, lp_norm, make_grid, preset,
-                      weighted_l2)
+from frontlab import (Field, apply_multiplier, closed_form_burgers,
+                      derivative, lp_norm, make_grid, preset, weighted_l2)
 from frontlab.evolution import _Workspace
 from frontlab.fronts import shoot_local_front
 from frontlab.spectral import trig_interpolate, trig_interpolate_lattice
 
-from checks import trig_interpolate_262144
+from checks import (band_project, kernel_positivity_check,
+                    trig_interpolate_262144)
 
 
 def test_make_grid_definition():
@@ -40,14 +39,14 @@ def test_field_validation(grid_std):
 
 
 def test_multiplier_identity(grid_std):
-    f = Field.from_function(grid_std, lambda x: np.exp(-x ** 2))
+    f = Field(grid_std, np.exp(-grid_std.x ** 2))
     out = apply_multiplier(f, np.ones(grid_std.n))
     assert np.max(np.abs(out.values - f.values)) <= 1e-14
 
 
 def test_multiplier_second_derivative_eigenfunction(grid_std):
     L = grid_std.length
-    f = Field.from_function(grid_std, lambda x: np.sin(2 * np.pi * x / L))
+    f = Field(grid_std, np.sin(2 * np.pi * grid_std.x / L))
     out = apply_multiplier(f, (1j * grid_std.k) ** 2)
     want = -(2 * np.pi / L) ** 2 * f.values
     assert np.max(np.abs(out.values - want)) <= 1e-10
@@ -62,7 +61,7 @@ def test_multiplier_fractional_vs_quadrature_oracle():
     below the 1e-6 comparison tolerance.
     """
     g = make_grid(32768, 2560.0)
-    f = Field.from_function(g, lambda x: np.exp(-x ** 2))
+    f = Field(g, np.exp(-g.x ** 2))
     out = apply_multiplier(f, -np.abs(g.k))
 
     def oracle(x):
@@ -76,7 +75,7 @@ def test_multiplier_fractional_vs_quadrature_oracle():
 
 
 def test_multiplier_rejects_non_hermitian(grid_std):
-    f = Field.from_function(grid_std, lambda x: np.exp(-x ** 2))
+    f = Field(grid_std, np.exp(-grid_std.x ** 2))
     with pytest.raises(ValueError, match="non-Hermitian"):
         apply_multiplier(f, 1j * np.ones(grid_std.n))
 
@@ -88,7 +87,7 @@ def test_derivative_constant_is_zero(grid_std):
 
 def test_derivative_sine(grid_std):
     L = grid_std.length
-    f = Field.from_function(grid_std, lambda x: np.sin(2 * np.pi * x / L))
+    f = Field(grid_std, np.sin(2 * np.pi * grid_std.x / L))
     out = derivative(f, 1)
     want = (2 * np.pi / L) * np.cos(2 * np.pi * grid_std.x / L)
     assert np.max(np.abs(out.values - want)) <= 1e-10
@@ -96,8 +95,8 @@ def test_derivative_sine(grid_std):
 
 def test_derivative_matches_finite_differences(grid_std):
     # steep periodic tanh-like profile; centered differences are the oracle
-    f = Field.from_function(
-        grid_std, lambda x: np.tanh(3.0 * np.sin(2 * np.pi * x / grid_std.length)))
+    f = Field(grid_std,
+              np.tanh(3.0 * np.sin(2 * np.pi * grid_std.x / grid_std.length)))
     d2 = derivative(f, 2).values
     h = grid_std.h
     fd = (np.roll(f.values, -1) - 2 * f.values + np.roll(f.values, 1)) / h ** 2
@@ -123,7 +122,7 @@ def test_lp_norm_sup(grid_std):
 
 
 def test_lp_norm_gaussian_l1(grid_std):
-    f = Field.from_function(grid_std, lambda x: np.exp(-x ** 2))
+    f = Field(grid_std, np.exp(-grid_std.x ** 2))
     assert lp_norm(f, 1) == pytest.approx(np.sqrt(np.pi), abs=1e-8)
 
 
@@ -148,7 +147,7 @@ def test_weighted_l2_mollified_bump():
     def bump(x):
         return 0.5 * (np.tanh(steep * (x + 1.0)) - np.tanh(steep * (x - 1.0)))
 
-    f = Field.from_function(g, bump)
+    f = Field(g, bump(g.x))
     oracle, _ = quad(lambda x: bump(np.array([x]))[0] ** 2 * abs(x),
                      -30.0, 30.0, limit=400, points=[-1.0, 0.0, 1.0])
     assert weighted_l2(f) == pytest.approx(np.sqrt(oracle), abs=5.0 * g.h ** 2)
