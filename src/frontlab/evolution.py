@@ -444,7 +444,8 @@ def make_perturbation(kind: str, amplitude: float, width: float,
     gaussian                 a * exp(-(x/w)^2)
     odd_gaussian_derivative  -a * x * exp(-(x/w)^2)
     odd_sine_packet          a * sin(x/w) * exp(-(x/(3w))^2)
-    random_bandlimited       seeded low-mode noise under a decaying envelope
+    random_bandlimited       seeded noise on the lowest L/(2*pi*w) + 4 modes,
+                             fewer than n/2, under a decaying envelope
     """
     if amplitude <= 0.0 or width <= 0.0:
         raise ValueError("amplitude and width must be positive")
@@ -458,6 +459,9 @@ def make_perturbation(kind: str, amplitude: float, width: float,
     elif kind == "random_bandlimited":
         rng = np.random.default_rng(seed)
         modes = max(4, int(grid.length / (2.0 * np.pi * width)) + 4)
+        if modes >= grid.n // 2:  # the band and its mirror must stay below Nyquist
+            raise ValueError(f"perturbation.width = {width:g} needs {modes} "
+                             f"random_bandlimited modes, not below n/2 = {grid.n // 2}")
         coeffs = np.zeros(grid.n, dtype=complex)
         amps = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
         taper = np.exp(-np.linspace(0.0, 3.0, modes) ** 2)

@@ -249,40 +249,27 @@ def _fold(node: Node, offset: int) -> Node:
         raise SymbolSyntaxError(str(exc), offset) from None
 
 
-def _provably_real(node: Node) -> bool:
+def _sign(node: Node) -> int:
+    """2 if `node` is provably real and >= 0, 1 if provably real, else 0."""
     if isinstance(node, Const):
         v = node.value
-        if np.isfinite(v) and v.imag == 0.0:
-            return True
-        return node.source is not None and _provably_real(node.source)
-    if isinstance(node, (Wavenumber, Call)):
-        return True  # k and abs are real; sgn demands a real argument
-    if isinstance(node, Neg):
-        return _provably_real(node.arg)
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            if node.rhs.value.real.is_integer():
-                return _provably_real(node.lhs)
-            return _provably_nonneg(node.lhs)
-        return _provably_real(node.lhs) and _provably_real(node.rhs)
-    raise TypeError(node)
-
-
-def _provably_nonneg(node: Node) -> bool:
-    if isinstance(node, Const):
-        v = node.value
-        if np.isfinite(v) and v.imag == 0.0 and v.real >= 0.0:
-            return True
-        return node.source is not None and _provably_nonneg(node.source)
+        sign = 1 + (v.real >= 0.0) if np.isfinite(v) and v.imag == 0.0 else 0
+        if sign < 2 and node.source is not None:
+            sign = max(sign, _sign(node.source))
+        return sign
+    if isinstance(node, Wavenumber):
+        return 1
     if isinstance(node, Call):
-        return node.fn == "abs"
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            even = node.rhs.value.real % 2 == 0
-            return _provably_nonneg(node.lhs) or (even and _provably_real(node.lhs))
-        if node.op in ("+", "*", "/"):
-            return _provably_nonneg(node.lhs) and _provably_nonneg(node.rhs)
-    return False
+        return 2 if node.fn == "abs" else 1  # sgn demands a real argument
+    if isinstance(node, Neg):
+        return min(_sign(node.arg), 1)
+    lhs = _sign(node.lhs)
+    if node.op == "^":  # the exponent is a finite real constant
+        e = node.rhs.value.real
+        if not e.is_integer():
+            return 2 if lhs == 2 else 0
+        return 2 if lhs and e % 2 == 0 else lhs
+    return min(lhs, _sign(node.rhs), 1 if node.op == "-" else 2)
 
 
 def _check_power(base: Node, exponent: Node, offset: int):
@@ -293,7 +280,7 @@ def _check_power(base: Node, exponent: Node, offset: int):
         raise SymbolSyntaxError("exponent is not a finite constant", offset)
     if e.imag != 0.0:
         raise SymbolSyntaxError("exponent must be real", offset)
-    if not e.real.is_integer() and not _provably_nonneg(base):
+    if not e.real.is_integer() and _sign(base) != 2:
         raise SymbolSyntaxError(
             "non-integer exponent on sign-changing base", offset
         )
@@ -397,28 +384,6 @@ def _origin_value(expr: SymbolExpr) -> complex:
         if not finite or abs(0.5 * (probe[0] + probe[1])) > 1e-9 * scale:
             raise SymbolEvalError("singularity at k=0 without convention")
     return 0.0
-
-
-def unparse(node: Node) -> str:
-    """Render a tree back to (fully parenthesized) source text."""
-    if isinstance(node, Const):
-        v = node.value
-        if v.imag == 0.0:
-            return repr(v.real)
-        if v == 1j:
-            return "i"
-        if v.real == 0.0:
-            return f"({v.imag!r}*i)"
-        return f"({v.real!r}+{v.imag!r}*i)"
-    if isinstance(node, Wavenumber):
-        return "k"
-    if isinstance(node, Neg):
-        return f"(-{unparse(node.arg)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({unparse(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({unparse(node.lhs)}{node.op}{unparse(node.rhs)})"
-    raise TypeError(node)
 
 
 # ---------------------------------------------------------------------------
@@ -546,29 +511,16 @@ def preset(name: str, nu: float | None = None,
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _substitute_scaled(node: Node, lam: float) -> Node:
-    if isinstance(node, Wavenumber):
-        return BinOp("*", Const(complex(lam)), Wavenumber())
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Neg):
-        return Neg(_substitute_scaled(node.arg, lam))
-    if isinstance(node, Call):
-        return Call(node.fn, _substitute_scaled(node.arg, lam))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _substitute_scaled(node.lhs, lam),
-                     _substitute_scaled(node.rhs, lam))
-    raise TypeError(node)
-
-
 def rescale_symbol(spec: MultiplierSpec, lam: float) -> MultiplierSpec:
-    """Length rescale: l -> l1 with l1(k) = lam^-2 * l(lam*k)."""
-    if not lam > 0.0:
-        raise ValueError("scale factor must be positive")
-    root = BinOp("*", Const(complex(lam ** -2.0)),
-                 _substitute_scaled(spec.expr.root, lam))
-    expr = SymbolExpr(root=root, text=unparse(root))
-    report = validate_admissibility(expr, admissibility_samples())
+    """Length rescale: l -> l1 with l1(k) = lam^-2 * l(lam*k), parsed from
+    the text of l with each k replaced by (lam*k)."""
+    if not 0.0 < lam < np.inf:
+        raise ValueError("scale factor must be positive and finite")
+    lam = float(lam)
+    text = spec.text
+    for kind, value, offset in reversed(_tokenize(text)):  # offsets stay valid
+        if kind == "name" and value == "k":
+            text = f"{text[:offset]}({lam!r}*k){text[offset + 1:]}"
     params = dict(spec.params)
     if "nu" in params:
         params["nu"] = params["nu"] * lam
@@ -577,9 +529,9 @@ def rescale_symbol(spec: MultiplierSpec, lam: float) -> MultiplierSpec:
             (c * lam ** (2.0 * a - 2.0), a) for (c, a) in params["terms"]
         ]
     params["rescaled_from"] = spec.label
-    params["scale"] = float(lam)
+    params["scale"] = lam
     label = spec.label if lam == 1.0 else f"rescale({spec.label},{lam:g})"
-    return MultiplierSpec(expr=expr, label=label, admissibility=report, params=params)
+    return _make_spec(f"({lam ** -2.0!r})*({text})", label, params)
 
 
 def spec_from_text(text: str, label: str | None = None) -> MultiplierSpec:

@@ -18,6 +18,7 @@ from frontlab.diagnostics import NormSeries
 from frontlab.evolution import _EtdRk4
 from frontlab.fronts import FrontError, ref_profile
 from frontlab.spectral import weighted_l2
+from frontlab.symbols import BinOp, Call, Const, Neg, Wavenumber
 
 GRID = make_grid(1024, 80.0)
 
@@ -460,3 +461,61 @@ def lgmres_solve(matvec, prec, b, rtol):
     return lgmres(LinearOperator(shape, matvec=matvec, dtype=float), b,
                   M=LinearOperator(shape, matvec=prec, dtype=float),
                   rtol=rtol, atol=0.0, maxiter=200)
+
+
+def provably_real(node):
+    """The '^' rule's old analysis, real half: True when `node` is provably
+    real; `symbols._sign(node) >= 1` must agree."""
+    if isinstance(node, Const):
+        v = node.value
+        if np.isfinite(v) and v.imag == 0.0:
+            return True
+        return node.source is not None and provably_real(node.source)
+    if isinstance(node, (Wavenumber, Call)):
+        return True  # k and abs are real; sgn demands a real argument
+    if isinstance(node, Neg):
+        return provably_real(node.arg)
+    if node.op == "^":
+        if node.rhs.value.real.is_integer():
+            return provably_real(node.lhs)
+        return provably_nonneg(node.lhs)
+    return provably_real(node.lhs) and provably_real(node.rhs)
+
+
+def provably_nonneg(node):
+    """The nonnegative half: True when `node` is provably real and >= 0;
+    `symbols._sign(node) == 2` must agree."""
+    if isinstance(node, Const):
+        v = node.value
+        if np.isfinite(v) and v.imag == 0.0 and v.real >= 0.0:
+            return True
+        return node.source is not None and provably_nonneg(node.source)
+    if isinstance(node, Call):
+        return node.fn == "abs"
+    if isinstance(node, BinOp):
+        if node.op == "^":
+            even = node.rhs.value.real % 2 == 0
+            return provably_nonneg(node.lhs) or (even and provably_real(node.lhs))
+        if node.op in ("+", "*", "/"):
+            return provably_nonneg(node.lhs) and provably_nonneg(node.rhs)
+    return False
+
+
+def substitute_scaled(node, lam):
+    """The tree of l(lam*k) built from the tree of l(k), by substituting
+    lam*k for each k: `symbols.rescale_symbol` without a re-parse."""
+    if isinstance(node, Wavenumber):
+        return BinOp("*", Const(complex(lam)), Wavenumber())
+    if isinstance(node, Const):
+        return node
+    if isinstance(node, Neg):
+        return Neg(substitute_scaled(node.arg, lam))
+    if isinstance(node, Call):
+        return Call(node.fn, substitute_scaled(node.arg, lam))
+    return BinOp(node.op, substitute_scaled(node.lhs, lam),
+                 substitute_scaled(node.rhs, lam))
+
+
+def rescaled_tree(spec, lam):
+    """The tree of lam^-2 * l(lam*k), by substitution."""
+    return BinOp("*", Const(complex(lam ** -2.0)), substitute_scaled(spec.expr.root, lam))

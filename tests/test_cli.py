@@ -616,6 +616,26 @@ def test_simulate_bad_step_settings_fail_before_front(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("width", ["0.1", "0.05"])
+def test_simulate_band_past_nyquist_fails_before_front(tmp_path, monkeypatch, capsys,
+                                                       width):
+    """A random_bandlimited width whose band reaches n/2 is refused before
+    the front is solved: at n = 256 width 0.1 ran with energy at the
+    Nyquist mode, and 0.05 failed on an array shape."""
+    def no_front(*args, **kwargs):
+        raise AssertionError("front solved for a config that cannot run")
+
+    monkeypatch.setattr(cli, "front_for_operator", no_front)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(CONFIG.replace("n = 512", "n = 256").replace(
+        "kind = gaussian", "kind = random_bandlimited").replace(
+        "width = 1.0", f"width = {width}"))
+    out = tmp_path / "bad_run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: perturbation.width = {width}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("diagnostics, message", [
     # frac_odd's log-corrected claims; the default window starts at t = 0.5
     ("model = frac_odd", "log-corrected fits need window start >= 2 in [0.5, 2]"),

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -421,11 +422,46 @@ def test_certificate_warning(grid_std, burgers_front):
 
 
 def test_weak_localization_warning(grid_std, burgers_front, burgers_cert):
+    # this field reaches the box edge; it is not weakly localized in the
+    # weighted-norm sense (see test_weakly_localized_data_warn)
     wide = Field(grid_std, 1e-3 * np.exp(-((grid_std.x / 36.0) ** 10)))
     cfg = StepperConfig(dt=2e-3, t_end=0.1, record_every=10)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="does not decay at the box edge"):
         evolve(wide, burgers_front, preset("burgers"), cfg,
                certificate=burgers_cert)
+
+
+@pytest.mark.filterwarnings("ignore:evolving without a spectral certificate")
+def test_weakly_localized_data_warn():
+    """A bump at x = 150 in a 400-long box: its |x|-weighted norm is 12x
+    its L2 norm."""
+    grid = make_grid(1024, 400.0)
+    bump = Field(grid, 1e-3 * np.exp(-(((grid.x - 150.0) / 2.0) ** 2)))
+    cfg = StepperConfig(dt=2e-3, t_end=0.01, record_every=5)
+    with pytest.warns(UserWarning, match="initial data is weakly localized"):
+        evolve(bump, closed_form_burgers(grid), preset("burgers"), cfg)
+
+
+def test_perturbation_on_another_grid_rejected(grid_std, burgers_front):
+    v0 = make_perturbation("gaussian", 0.1, 1.0, make_grid(512, 80.0))
+    cfg = StepperConfig(dt=2e-3, t_end=0.01, record_every=5)
+    with pytest.raises(ValueError, match="different grids"):
+        quiet_evolve(v0, burgers_front, preset("burgers"), cfg)
+
+
+def test_monotonicity_audit_counts_upticks_without_modulation():
+    """With the modulation on, ||v||_2 decays at every step; without it the
+    translation mode feeds energy back and every step is an up-tick."""
+    grid = make_grid(512, 80.0)
+    front = closed_form_burgers(grid)
+    v0 = Field(grid, 0.05 * np.exp(-((grid.x / 4.0) ** 2)))
+    cfg = StepperConfig(dt=0.01, t_end=2.0, record_every=10)
+    kept = quiet_evolve(v0, front, preset("burgers"), cfg)
+    assert kept.monotonicity_violations == 0 and kept.max_uptick == 0.0
+    free = quiet_evolve(v0, front, preset("burgers"), cfg, disable=("modulation",))
+    assert free.monotonicity_violations == 200
+    assert free.max_uptick > 1e-3
+    assert free.series.l2[-1] > 1.1 * free.series.l2[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +590,18 @@ def test_perturbation_seeded_reproducible(grid_std):
     c = make_perturbation("random_bandlimited", 0.3, 2.0, grid_std, seed=43)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("width, modes", [(0.1, 131), (0.05, 258)])
+def test_random_bandlimited_band_stays_below_nyquist(width, modes):
+    """L/(2*pi*w) + 4 modes and their mirror images need fewer than n/2
+    modes; at n = 256, L = 80 width 0.1 reached the Nyquist mode and 0.05
+    overran the array."""
+    grid = make_grid(256, 80.0)
+    message = (f"perturbation.width = {width:g} needs {modes} random_bandlimited "
+               "modes, not below n/2 = 128")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_perturbation("random_bandlimited", 0.5, width, grid)
 
 
 def test_perturbation_validation(grid_std):

@@ -6,8 +6,11 @@ import pytest
 
 from frontlab import (eval_symbol, parse_symbol, preset, rescale_symbol,
                       spec_from_text, validate_admissibility)
-from frontlab.symbols import (Const, SymbolEvalError, SymbolSyntaxError,
+from frontlab.symbols import (BinOp, Call, Const, Neg, SymbolEvalError,
+                              SymbolExpr, SymbolSyntaxError, _sign,
                               admissibility_samples)
+
+from checks import provably_nonneg, provably_real, rescaled_tree
 
 K_SAMPLES = np.linspace(-40.0, 40.0, 321)
 
@@ -332,3 +335,106 @@ def test_k_free_expressions_fold_to_the_ast_value():
             assert abs(root.value - want) <= 1e-12 * abs(want)
 
     check()
+
+
+_LEAVES = ("k", "k", "i", "0", "1", "2", "0.5", "3.25", "1e-3", "1e300", "0.0")
+_EXPONENTS = ("2", "3", "-1", "-2", "0", "0.5", "1.5", "-0.5", "(1/2)", "(2*2)",
+              "((-1)^100)", "(1/0)", "(i*i)", "(i)", "k")
+
+
+def _random_text(rng, depth=4):
+    """A text from the grammar, k-dependent or not, with constant and
+    k-dependent exponents on every kind of base; many do not parse."""
+    if depth == 0 or rng.random() < 0.25:
+        return _LEAVES[rng.integers(len(_LEAVES))]
+    a = _random_text(rng, depth - 1)
+    form = rng.integers(7)
+    if form == 0:
+        return f"{a}{'+-*/'[rng.integers(4)]}{_random_text(rng, depth - 1)}"
+    if form == 1:
+        return f"-{a}"
+    if form == 2:
+        return f"({a})"
+    if form == 3:
+        return f"{('abs', 'sgn')[rng.integers(2)]}({a})"
+    if form == 4:
+        return f"({a})^({_random_text(rng, depth - 1)})"
+    return f"{a}^{_EXPONENTS[rng.integers(len(_EXPONENTS))]}"
+
+
+def _subtrees(node):
+    """`node` and every node below it, the trees that constants were
+    folded from included."""
+    yield node
+    if isinstance(node, Const):
+        children = [node.source] if node.source is not None else []
+    elif isinstance(node, (Neg, Call)):
+        children = [node.arg]
+    elif isinstance(node, BinOp):
+        children = [node.lhs, node.rhs]
+    else:
+        children = []
+    for child in children:
+        yield from _subtrees(child)
+
+
+def test_sign_matches_real_and_nonneg_oracles():
+    """On every subtree of 10,000 parsed random texts, _sign is 2 exactly
+    where the oracle pair proves real and nonnegative, and 1 where it
+    proves real only."""
+    rng = np.random.default_rng(34)
+    parsed, rejected, seen = 0, 0, set()
+    with np.errstate(all="ignore"):
+        while parsed < 10_000:
+            try:
+                root = parse_symbol(_random_text(rng)).root
+            except SymbolSyntaxError as exc:
+                rejected += "sign-changing" in str(exc)
+                continue
+            parsed += 1
+            for node in _subtrees(root):
+                want = provably_nonneg(node) + provably_real(node)
+                assert provably_real(node) or not provably_nonneg(node)
+                assert _sign(node) == want, node
+                seen.add(want)
+    assert seen == {0, 1, 2} and rejected > 500
+
+
+def _rescale_symbols():
+    """The presets, and user symbols with every kind of node."""
+    return [
+        preset("burgers"), preset("kdvb", nu=-0.24), preset("kdvb", nu=0.5),
+        preset("bo"), preset("hilbert"),
+        preset("frac", terms=[(1.0, 0.5), (0.3, 0.8)]), preset("frac", terms=[(0.7, 0.35)]),
+        spec_from_text("-(abs(k))^1"), spec_from_text("-0.1*(i*k)^3 - k^2"),
+        spec_from_text("i*k*abs(k) - abs(k)^1.5"), spec_from_text("-(k^2)^0.75"),
+        spec_from_text("i*k/abs(k) - 2*3*k*k*abs(k)/(1+abs(k))"),
+        spec_from_text("-k^4/(1+k^2) + i*sgn(k)"),
+    ]
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.4, 7.3, 1e-3, 123.456])
+def test_rescale_matches_tree_substitution(lam):
+    """Re-parsing the text with each k replaced by (lam*k) gives the tree
+    that substituting lam*k into the parsed tree gives, so the same values
+    to the bit; a k-free symbol folds to one constant instead."""
+    samples = admissibility_samples()
+    for spec in _rescale_symbols():
+        scaled = rescale_symbol(spec, lam)
+        oracle = SymbolExpr(rescaled_tree(spec, lam), "")
+        if "k" in spec.text:
+            assert scaled.expr.root == oracle.root
+        else:
+            assert isinstance(scaled.expr.root, Const)
+        assert np.array_equal(scaled.values(samples), eval_symbol(oracle, samples))
+        assert scaled.admissibility == validate_admissibility(oracle, samples)
+        # the rescaled text parses back to the same values
+        again = spec_from_text(scaled.text)
+        assert np.array_equal(again.values(samples), scaled.values(samples))
+
+
+def test_rescale_requires_finite_scale():
+    with pytest.raises(ValueError, match="positive and finite"):
+        rescale_symbol(preset("bo"), np.inf)
+    with pytest.raises(ValueError, match="positive and finite"):
+        rescale_symbol(preset("bo"), np.nan)
