@@ -212,6 +212,8 @@ def _run_pipeline(cfg: RunConfig, checked) -> tuple[int, dict, str]:
         "monotonicity_violations": traj.monotonicity_violations,
         "max_relative_uptick": traj.max_uptick,
         "boundary_warnings": traj.boundary_warnings,
+        "peak_advective": traj.peak_advective,
+        "peak_contamination": traj.peak_contamination,
         "x0_final": traj.x0_final,
         "l2_initial": traj.series.l2[0],
         "l2_final": traj.series.l2[-1],

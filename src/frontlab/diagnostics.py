@@ -16,6 +16,7 @@ __all__ = [
     "EnergyReport",
     "WeightedReport",
     "check_energy_inequality",
+    "energy_rose",
     "fit_rate",
     "window_mask",
     "predicted_rate",
@@ -88,12 +89,19 @@ class EnergyReport:
     steps_used: int
 
 
+def energy_rose(prev, new, first):
+    """Whether ||v||_2^2 rose from prev to new beyond 1e-10 relative, over an
+    absolute floor at 1e-13 of the initial energy `first` so that roundoff
+    wiggles of a fully decayed field (10+ orders below it) do not count."""
+    return new - prev > 1e-10 * prev + 1e-13 * first
+
+
 def check_energy_inequality(series: NormSeries) -> EnergyReport:
     """Fit the constant in d/dt ||v||_2^2 <= -C ||v'||_2^2 along a series.
 
     C_fit is the minimum over recorded steps of the decay-to-gradient
-    ratio (trapezoidal ||v'||^2 between records); violations count steps
-    where ||v||_2^2 actually increased beyond 1e-10 relative.
+    ratio (trapezoidal ||v'||^2 between records); violations count the
+    steps between records over which ||v||_2^2 rose (`energy_rose`).
     """
     t = series.column("t")
     e = series.column("l2") ** 2
@@ -107,9 +115,7 @@ def check_energy_inequality(series: NormSeries) -> EnergyReport:
     if np.count_nonzero(usable) < 10:
         raise ValueError("series too short: fewer than 10 usable steps")
     ratios = (-de[usable] / dt[usable]) / grad[usable]
-    # absolute floor keeps roundoff wiggles of a decayed field from
-    # counting as energy-inequality violations
-    violations = int(np.sum(de > 1e-10 * e[:-1] + 1e-13 * e[0]))
+    violations = int(np.sum(energy_rose(e[:-1], e[1:], e[0])))
     return EnergyReport(c_fit=float(np.min(ratios)),
                         violations=violations,
                         steps_used=int(np.count_nonzero(usable)))

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import RunConfig
-from .diagnostics import NormSeries
+from .diagnostics import NormSeries, energy_rose
 from .fronts import FrontProfile, ref_profile
-from .spectral import Field, Grid, lp_norm, weighted_l2
+from .spectral import Field, Grid
 from .symbols import MultiplierSpec
 
 __all__ = [
@@ -120,6 +120,9 @@ class _Workspace:
     def __init__(self, front: FrontProfile, spec: MultiplierSpec,
                  gamma: float, dealias: bool,
                  disable: tuple = ()):
+        if bad := sorted(set(disable) - {"front", "nonlinear", "modulation"}):
+            raise ValueError(f"unknown disable entries {bad}; the terms "
+                             "are 'front', 'nonlinear' and 'modulation'")
         spec.require_admissible()
         grid = front.grid
         n = grid.n
@@ -248,13 +251,21 @@ def make_stepper(ws: _Workspace, config: StepperConfig):
 
 @dataclass
 class Trajectory:
+    """The run's one record, filled in place by `evolve` as its audits fire."""
+
     series: NormSeries
-    snapshots: list
-    x0_final: float
-    monotonicity_violations: int
-    max_uptick: float
-    boundary_warnings: int
+    snapshots: list = field(default_factory=list)
+    monotonicity_violations: int = 0
+    max_uptick: float = 0.0
+    boundary_warnings: int = 0
+    peak_advective: float = 0.0      # largest dt*max|v|*k_max bound of a step taken
+    peak_contamination: float = 0.0  # largest boundary_contamination of a record
     aborted: bool = False
+
+    @property
+    def x0_final(self) -> float:
+        """x0 at the last record: t_end's, or an aborted run's last good one."""
+        return self.series.x0[-1]
 
 
 def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
@@ -263,11 +274,12 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     """Run the perturbation equation to t_end with per-step audits.
 
     This is the only stepping driver (a single step is t_end = dt); it
-    steps from record to record over `config.record_steps()`.  Each step
-    is audited for monotonicity of ||v||_2 (violations beyond 1e-10
-    relative are counted, the run continues), each record for boundary
-    contamination (warning).  `disable` switches off the 'front',
-    'nonlinear' or 'modulation' terms for calibration runs.
+    steps from record to record over `config.record_steps()`.  Record 0,
+    v0 on the kept modes, also warns if its weighted norm exceeds 10x its
+    L2 norm (weak localization).  Each step is audited for monotonicity of
+    ||v||_2 (`energy_rose` up-ticks are counted, the run continues), each
+    record for boundary contamination (warning).  `disable` switches off
+    the 'front', 'nonlinear' or 'modulation' terms for calibration runs.
 
     Two guards abort the run: the advective step guard, checked before
     every step unless 'nonlinear' is disabled, on the bound
@@ -280,39 +292,19 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
     grid = v0.grid
     if grid is not front.grid and grid != front.grid:
         raise ValueError("perturbation and front live on different grids")
-    spec.require_admissible()
     if certificate is not None and not getattr(certificate, "satisfied", False):
         warnings.warn("front certificate does not verify the one-eigenvalue "
                       "condition; decay guarantees may not apply")
     if certificate is None and not disable:
         warnings.warn("evolving without a spectral certificate for the front")
-
-    weighted0 = weighted_l2(v0)
-    l2_0 = lp_norm(v0, 2)
-    if l2_0 > 0 and weighted0 > 10.0 * l2_0:
-        warnings.warn("initial data is weakly localized: weighted norm "
-                      f"{weighted0:.3g} exceeds 10x the L2 norm {l2_0:.3g}")
-
     ws = _Workspace(front, spec, config.gamma, config.dealias, disable)
     stepper, nonlin = make_stepper(ws, config)
     z = ws.augment(v0.values)  # x0(0) = 0
 
-    series = NormSeries(p_list=config.p_list)
-    snapshots = []
-    boundary_warnings = 0
-    if boundary_contamination(v0.values) > BOUNDARY_TOL:
-        boundary_warnings += 1
-        warnings.warn("initial data does not decay at the box edge")
-
+    traj = Trajectory(NormSeries(p_list=config.p_list))
+    series = traj.series
     mag = np.abs(z[:-1])
-    prev_l2sq = ws.l2sq(mag)
-    # relative slack per step, with an absolute floor so that roundoff
-    # wiggles of a fully decayed field (10+ orders below the initial
-    # energy) do not count as monotonicity violations
-    l2sq_floor = 1e-13 * prev_l2sq
-    vinf0 = float(np.max(np.abs(v0.values)))
-    violations = 0
-    max_uptick = 0.0
+    prev_l2sq = first_l2sq = ws.l2sq(mag)
     abort = None  # the guard that stopped the run, if one did
     x0_dot = 0.0
 
@@ -324,6 +316,7 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
                 abort = ("advective step limit exceeded (dt*max|v|*k_max = "
                          f"{advect:.3g} > 1) at t={istep * config.dt:g}")
                 break
+            traj.peak_advective = max(traj.peak_advective, advect)
             z, x0_dot = stepper.advance(z, nonlin)
 
             mag = np.abs(z[:-1])
@@ -331,9 +324,9 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
             if not math.isfinite(l2sq):
                 abort = f"non-finite solution at t={(istep + 1) * config.dt:g}"
                 break
-            if l2sq - prev_l2sq > 1e-10 * prev_l2sq + l2sq_floor:
-                violations += 1
-                max_uptick = max(max_uptick, l2sq / prev_l2sq - 1.0)
+            if energy_rose(prev_l2sq, l2sq, first_l2sq):
+                traj.monotonicity_violations += 1
+                traj.max_uptick = max(traj.max_uptick, l2sq / prev_l2sq - 1.0)
             prev_l2sq = l2sq
         if abort is not None:
             break
@@ -342,25 +335,23 @@ def evolve(v0: Field, front: FrontProfile, spec: MultiplierSpec,
         f = Field(grid, np.fft.irfft(z[:-1], ws.n))
         series.append(t, float(z[-1].real), x0_dot, f,
                       np.sqrt(ws.l2sq(np.abs(ws.k * z[:-1]))))
-        # v0 was checked above; a fully decayed field's edge ratios are noise
-        if stop and series.linf[-1] > 1e-10 * vinf0:
+        if not stop and series.weighted[0] > 10.0 * series.l2[0] > 0.0:
+            warnings.warn("initial data is weakly localized: weighted norm "
+                          f"{series.weighted[0]:.3g} exceeds 10x the L2 norm "
+                          f"{series.l2[0]:.3g}")
+        # a fully decayed field's edge ratios are noise
+        if series.linf[-1] > 1e-10 * series.linf[0]:
             contamination = boundary_contamination(f.values)
-            if contamination > BOUNDARY_TOL:
-                if not boundary_warnings:
-                    warnings.warn(f"boundary contamination {contamination:.2e} "
-                                  f"at t={t:g}")
-                boundary_warnings += 1
+            traj.peak_contamination = max(traj.peak_contamination, contamination)
+            if contamination > BOUNDARY_TOL and not traj.boundary_warnings:
+                warnings.warn("initial data does not decay at the box edge" if not stop
+                              else f"boundary contamination {contamination:.2e} at t={t:g}")
+            traj.boundary_warnings += contamination > BOUNDARY_TOL
         if config.snapshot_every and stop % config.snapshot_every == 0:
-            snapshots.append((t, f))
+            traj.snapshots.append((t, f))
 
-    # the last step is always recorded, so x0 ends the series either way
-    traj = Trajectory(series=series, snapshots=snapshots,
-                      x0_final=series.x0[-1],
-                      monotonicity_violations=violations,
-                      max_uptick=max_uptick,
-                      boundary_warnings=boundary_warnings,
-                      aborted=abort is not None)
     if abort is not None:
+        traj.aborted = True
         err = StabilityError(f"{abort}; last good state at t={series.t[-1]:g}")
         err.partial = traj
         raise err

@@ -150,6 +150,46 @@ def test_simulate_run_directory(tmp_path, capsys):
     assert meta["certificate_satisfied"] is True
 
 
+TINY = """\
+[operator]
+preset = kdvb
+nu = -0.24
+[grid]
+n = 256
+length = 40.0
+[perturbation]
+kind = gaussian
+amplitude = 0.3
+width = 1.0
+[stepper]
+dt = 0.004
+t_end = 0.4
+record_every = 10
+[diagnostics]
+model = kdvb
+"""
+
+
+def test_simulate_near_advective_limit_reports_peaks(tmp_path):
+    """meta.json reads back how close the run came to its guards: a run
+    within 10 % of the advective limit completes without an up-tick."""
+    peaks = {}
+    for name, dt, t_end, every in [("tiny", "0.004", "0.4", "10"),
+                                   ("near", "0.155", "6.2", "2")]:
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(TINY.replace("dt = 0.004", f"dt = {dt}")
+                       .replace("t_end = 0.4", f"t_end = {t_end}")
+                       .replace("record_every = 10", f"record_every = {every}"))
+        out = tmp_path / name
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "meta.json").read_text())["summary"]
+        assert summary["monotonicity_violations"] == 0
+        assert summary["peak_contamination"] >= 0.0
+        peaks[name] = summary["peak_advective"]
+    assert 0.0 < peaks["tiny"] < 0.05
+    assert 0.9 <= peaks["near"] < 1.0
+
+
 def test_simulate_zero_perturbation(tmp_path):
     cfg_text = CONFIG.replace("amplitude = 0.3", "amplitude = 1e-300")
     cfg = tmp_path / "zero.ini"

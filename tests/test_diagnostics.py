@@ -4,6 +4,7 @@ import pytest
 from frontlab import (Field, NormSeries, check_energy_inequality,
                       compare_to_theorem, fit_rate, lp_norm, make_grid,
                       predicted_rate, weighted_bound_monitor, weighted_l2)
+from frontlab.diagnostics import energy_rose
 
 from checks import band_energies
 
@@ -88,6 +89,37 @@ def test_energy_inequality_counts_violations():
     s = synthetic_series(t, l2, dv=np.ones_like(t))
     rep = check_energy_inequality(s)
     assert rep.violations > 0
+
+
+def test_energy_rose_threshold_is_strict():
+    """A rise of exactly 1e-10*prev + 1e-13*first is no up-tick; the next
+    float above it is.  These values make both parts exact powers of 2."""
+    prev, first = 2.0 ** -40 / 1e-10, 2.0 ** -43 / 1e-13
+    threshold = 2.0 ** -40 + 2.0 ** -43
+    assert 1e-10 * prev + 1e-13 * first == threshold
+    at = prev + threshold
+    assert at - prev == threshold
+    assert not energy_rose(prev, at, first)
+    assert energy_rose(prev, np.nextafter(at, np.inf), first)
+    # the floor alone: a decayed field's wiggle below 1e-13 of the start
+    assert not energy_rose(0.0, 1e-13 * first, first)
+    assert energy_rose(0.0, np.nextafter(1e-13 * first, np.inf), first)
+
+
+def test_energy_inequality_flags_what_energy_rose_flags():
+    """The series audit counts exactly the record intervals that the
+    per-step rule flags when applied pair by pair, with near-threshold
+    rises on both sides."""
+    t = np.linspace(0.0, 1.0, 60)
+    e = np.exp(-t)
+    rng = np.random.default_rng(3)
+    for i in range(5, 60, 4):  # rises just under, at and just over the threshold
+        e[i] = e[i - 1] + (1e-10 * e[i - 1] + 1e-13 * e[0]) * rng.choice([0.5, 1.0, 2.0])
+    s = synthetic_series(t, np.sqrt(e), dv=np.ones_like(t))
+    energy = np.asarray(s.l2) ** 2
+    flags = [bool(energy_rose(a, b, energy[0])) for a, b in zip(energy[:-1], energy[1:])]
+    assert 0 < sum(flags) < 14
+    assert check_energy_inequality(s).violations == sum(flags)
 
 
 def test_norm_series_norm_for_p():

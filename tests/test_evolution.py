@@ -422,13 +422,55 @@ def test_certificate_warning(grid_std, burgers_front):
 
 
 def test_weak_localization_warning(grid_std, burgers_front, burgers_cert):
-    # this field reaches the box edge; it is not weakly localized in the
-    # weighted-norm sense (see test_weakly_localized_data_warn)
+    """This field reaches the box edge; it is not weakly localized in the
+    weighted-norm sense (see test_weakly_localized_data_warn).  Record 0
+    audits the initial data: the field is counted there and at every later
+    contaminated record, and warned about once."""
     wide = Field(grid_std, 1e-3 * np.exp(-((grid_std.x / 36.0) ** 10)))
-    cfg = StepperConfig(dt=2e-3, t_end=0.1, record_every=10)
-    with pytest.warns(UserWarning, match="does not decay at the box edge"):
-        evolve(wide, burgers_front, preset("burgers"), cfg,
-               certificate=burgers_cert)
+    cfg = StepperConfig(dt=2e-3, t_end=0.1, record_every=10, snapshot_every=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = evolve(wide, burgers_front, preset("burgers"), cfg,
+                      certificate=burgers_cert)
+    assert [str(w.message) for w in caught] == [
+        "initial data does not decay at the box edge"]
+    ratios = [evolution.boundary_contamination(f.values) for _, f in traj.snapshots]
+    assert len(ratios) == len(traj.series.t) == 6
+    assert traj.boundary_warnings == sum(r > 1e-6 for r in ratios) == 6
+    assert traj.peak_contamination == max(ratios)
+
+
+def test_boundary_warning_at_first_contaminated_record():
+    """Clean data whose heat flow reaches the box edge warn once, at the
+    first record past the tolerance, and count every record past it."""
+    grid = make_grid(256, 40.0)
+    v0 = make_perturbation("gaussian", 0.1, 3.0, grid)
+    assert evolution.boundary_contamination(v0.values) < 1e-15
+    cfg = StepperConfig(dt=0.05, t_end=8.0, record_every=10, snapshot_every=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = evolve(v0, closed_form_burgers(grid), preset("burgers"), cfg,
+                      disable=("front", "nonlinear", "modulation"))
+    ratios = [evolution.boundary_contamination(f.values) for _, f in traj.snapshots]
+    late = [(t, r) for (t, _), r in zip(traj.snapshots, ratios) if r > 1e-6]
+    (t_first, r_first), t_end = late[0], traj.series.t[-1]
+    assert 0.0 < t_first < t_end and late[-1][0] == t_end
+    assert [str(w.message) for w in caught] == [
+        f"boundary contamination {r_first:.2e} at t={t_first:g}"]
+    assert traj.boundary_warnings == len(late)
+    assert traj.peak_contamination == max(ratios) > 1e-6
+
+
+def test_evolve_rejects_unknown_disable_entries(grid_std, burgers_front):
+    """A misspelled term is refused, not run as the full equation; so is a
+    bare string, whose letters are no terms."""
+    v0 = make_perturbation("gaussian", 0.1, 1.0, grid_std)
+    cfg = StepperConfig(dt=0.01, t_end=0.01)
+    for disable, bad in [(("nonlinar",), "nonlinar"),
+                         (("front", "modulaton"), "modulaton"), ("front", "'f'")]:
+        with pytest.raises(ValueError, match=f"unknown disable entries .*{bad}.*"
+                           "'front', 'nonlinear' and 'modulation'"):
+            quiet_evolve(v0, burgers_front, preset("burgers"), cfg, disable=disable)
 
 
 @pytest.mark.filterwarnings("ignore:evolving without a spectral certificate")
