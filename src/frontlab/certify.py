@@ -9,6 +9,7 @@ eigenvalues below the shift.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -79,39 +80,49 @@ def schrodinger_tridiagonal(potential: Callable[[np.ndarray], np.ndarray],
 def count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> int:
     """Number of eigenvalues strictly below `shift` by Sylvester inertia.
 
-    Pivots of the LDL^T factorization of T - shift*I are computed by the
-    Sturm recurrence; a vanishing pivot lowers the shift by 16 ulps of the
-    scale max|diag| + max|offdiag| and retries (three attempts), as exact
-    ties make the count ambiguous: a zero pivot shows as the next division's
-    ZeroDivisionError, or as a zero last pivot.  It runs on Python floats,
-    at a fraction of numpy scalars' cost and with their pivots: `b ** 2` is
-    C `pow` on both (`b * b` is not, in 1 value in 1000), taken once per
-    distinct b, though where it overflows only numpy's gives inf.  A
-    non-finite entry or shift, or a scale that overflows, raises ValueError.
+    Pivots of the LDL^T factorization of T - shift*I come from the Sturm
+    recurrence d = a - b^2/d; a vanishing pivot lowers the shift by 16 ulps
+    of the scale max|diag| + max|offdiag| and retries (three attempts), as
+    exact ties make the count ambiguous: a zero pivot shows as the next
+    division's ZeroDivisionError, or as a zero last pivot.  It runs on
+    Python floats with numpy scalars' pivots: `b ** 2` is C `pow` on both
+    (`b * b` is not, in 1 value in 1000), once per distinct b, though only
+    numpy's gives inf where it overflows.  A constant off-diagonal (every FD
+    Schrodinger matrix) runs with its one b^2; any other tridiagonal, as
+    public callers may pass, pairs each pivot with its own.  A non-finite
+    entry or shift, or a scale that overflows, raises ValueError.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     if diag.ndim != 1 or offdiag.shape != (diag.size - 1,):
         raise ValueError("expected tridiagonal (diag, offdiag) arrays")
     scale = float(np.max(np.abs(diag))) + float(np.max(np.abs(offdiag), initial=0.0))
-    if not np.isfinite([scale, shift]).all():
+    if not (math.isfinite(scale) and math.isfinite(shift)):
         raise ValueError("tridiagonal entries, their scale and shift must be finite")
     values = np.unique(offdiag)
     try:
         squares = [b ** 2 for b in values.tolist()]
     except OverflowError:
         squares = [float(b ** 2) for b in values]
-    squares = np.array(squares)[np.searchsorted(values, offdiag)].tolist()
+    if len(squares) > 1:
+        squares = np.array(squares)[np.searchsorted(values, offdiag)].tolist()
     for attempt in range(3):
-        shifted = (diag - shift).tolist()
-        d = shifted[0]
+        shifted = iter((diag - shift).tolist())
+        d = next(shifted)
         if not (d == 0.0 or abs(d) < 1e-300 * scale):
             count = int(d < 0.0)
             with suppress(ZeroDivisionError):
-                for a, b2 in zip(shifted[1:], squares):
-                    d = a - b2 / d
-                    if d < 0.0:
-                        count += 1
+                if len(squares) == 1:
+                    b2, = squares
+                    for a in shifted:
+                        d = a - b2 / d
+                        if d < 0.0:
+                            count += 1
+                else:
+                    for a, b2 in zip(shifted, squares):
+                        d = a - b2 / d
+                        if d < 0.0:
+                            count += 1
                 if d != 0.0:
                     return count
         # downward keeps an eigenvalue tied with the shift out of the

@@ -382,7 +382,7 @@ def cole_hopf_exact(u0: Field, t: float) -> Field:
     larger is factored out before dividing, so nothing overflows.  Each
     term's roundoff is relative to theta when lam0 >= 0, as for every
     front; for data rising across the box (lam0 < 0) it grows like
-    e^{-lam0 L/2}."""
+    e^{-lam0 L/2}, and past 1e3 a warning names lam0 and that factor."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite (got {t})")
     n, h, x = u0.grid.n, u0.grid.h, u0.grid.x
@@ -390,6 +390,9 @@ def cole_hopf_exact(u0: Field, t: float) -> Field:
     u_minus = float(np.mean(u0.values[:edge]))
     u_plus = float(np.mean(u0.values[-edge:]))
     lam0, c0 = 0.5 * (u_minus - u_plus), 0.5 * (u_minus + u_plus)
+    if (growth := -0.5 * lam0 * u0.grid.length) > math.log(1e3):
+        warnings.warn(f"data rise across the box (lam0 = {lam0:.3g}): the oracle's "
+                      f"roundoff grows by e^(-lam0 L/2) = e^{growth:.1f}, above 1e3")
     w_hat = np.fft.rfft(u0.values - c0 - lam0 * ref_profile(x))
     mean_w, w_hat[0] = w_hat[0].real / n, 0.0
     w_hat[1:] /= 2j * np.pi * np.fft.rfftfreq(n, h)[1:]

@@ -187,19 +187,19 @@ def trig_interpolate_lattice(grid: Grid, values: np.ndarray, x_first: float,
     With alpha = 2*pi*h/length and mode index j, j*p = (j^2 + p^2 -
     (p-j)^2)/2 turns the mode sum into one convolution with the chirp
     exp(-i*alpha*q^2/2) (Bluestein), done by FFT in O((n+m) log(n+m)).
+    The chirp is even in q: one exp per |q| serves the modes, the kernel
+    and the output (so a mode's chirp and its conjugate cancel exactly).
     """
     n = grid.n
     coeffs = np.fft.fftshift(np.fft.fft(np.asarray(values, dtype=float))) / n
     if n % 2 == 0:
         coeffs[0] = coeffs[0].real  # the unpaired Nyquist mode, as a cosine
     j = np.arange(-(n // 2), n - n // 2, dtype=np.int64)
-
-    def chirp(q):  # squares of int64 indices are exact
-        return np.exp((1j * np.pi * h / grid.length) * (q * q))
-
+    q = np.arange(max(j[-1] + 1, m - j[0]), dtype=np.int64)
+    chirp = np.exp((1j * np.pi * h / grid.length) * (q * q))  # exact int64 squares
     offset = 2.0 * np.pi * (x_first + 0.5 * grid.length) / grid.length
-    b = coeffs * chirp(j) * np.exp(1j * offset * j)
-    kernel = np.conj(chirp(np.arange(-j[-1], m - j[0], dtype=np.int64)))
+    b = coeffs * chirp[np.abs(j)] * np.exp(1j * offset * j)
+    kernel = np.conj(chirp[np.abs(np.arange(-j[-1], m - j[0]))])
     size = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
     conv = np.fft.ifft(np.fft.fft(b, size) * np.fft.fft(kernel, size))
-    return (chirp(np.arange(m, dtype=np.int64)) * conv[n - 1:n - 1 + m]).real
+    return (chirp[:m] * conv[n - 1:n - 1 + m]).real

@@ -91,6 +91,23 @@ def sturm_cases(rng):
     # pivots -1e-14, 1, 2 - 1/1 = 1 and 1 - 1/1 = 0: only the last one
     # vanishes, and the retry's downward shift keeps -1e-14 below it
     yield np.array([-1e-14, 1.0, 2.0, 1.0]), np.array([0.0, 1.0, 1.0]), [0.0]
+    # a constant off-diagonal, as in every FD Schrodinger matrix: one b^2
+    for _ in range(40):  # random scales, shifts on eigenvalues and at diag[0]
+        m = int(rng.integers(3, 300))
+        diag = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3)
+        off = np.full(m - 1, rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
+        eig = eigh_tridiagonal(diag, off, eigvals_only=True)
+        yield diag, off, [0.0, float(rng.choice(eig)), eig[0], eig[-1], diag[0]]
+    for _ in range(40):  # small integers: exact zero pivots mid-recurrence
+        m = int(rng.integers(3, 12))
+        diag = rng.integers(-2, 3, m).astype(float)
+        yield diag, np.full(m - 1, float(rng.choice([-1.0, 1.0]))), [0.0, 1.0, -1.0]
+    # pivots 1, 2 - 1/1 = 1 and 1 - 1/1 = 0: the eigenvalue 0 is tied
+    yield np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0]), [0.0]
+    for big in (1e155, 3e200, 1e300):  # b**2 overflows: inf, then nan pivots
+        m = int(rng.integers(3, 60))
+        diag = rng.standard_normal(m)
+        yield diag, np.full(m - 1, big), [0.0, -big, diag[0]]
 
 
 def test_count_below_retry_keeps_nearby_eigenvalue():
@@ -145,7 +162,8 @@ def test_count_below_matches_numpy_scalar_recurrence(sweep_fronts):
                 else:
                     assert count_below(diag, off, shift) == want
                 cases += 1
-    assert cases == 60 * 5 + 60 * 4 + 3 * (3 + 2) + 1 + 3 * 2 * 7 * 3
+    assert cases == (60 * 5 + 60 * 4 + 3 * (3 + 2) + 1 + 40 * 5 + 40 * 3 + 1
+                     + 3 * 3 + 3 * 2 * 7 * 3)
 
 
 @pytest.mark.parametrize("diag,off,shift", [

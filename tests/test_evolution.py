@@ -537,6 +537,24 @@ def test_cole_hopf_requires_positive_time(grid_std):
             cole_hopf_exact(Field.zeros(grid_std), t)
 
 
+def test_cole_hopf_warns_on_rising_data(grid_std, burgers_front):
+    """Data rising across the box (lam0 < 0) get roundoff that grows like
+    e^{-lam0 L/2}, e^20 here: the oracle says so.  Constant data (lam0 = 0)
+    and every front datum of the suite (lam0 about 1) run quietly."""
+    g = Grid(512, 80.0)
+    with pytest.warns(UserWarning, match=r"lam0 = -0\.5\).*e\^20\.0"):
+        cole_hopf_exact(Field(g, 0.5 * np.tanh(0.5 * g.x)), 1.0)
+    phi = burgers_front.phi.values
+    quiet = [(Field(grid_std, np.full(grid_std.n, 0.7)), 0.5),
+             (Field(grid_std, phi), 2000.0),
+             (Field(grid_std, phi + 0.3 * np.exp(-grid_std.x ** 2)), 1.0),
+             *cole_hopf_data(1000, 80.0), *cole_hopf_data(4096, 160.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u0, t in quiet:
+            cole_hopf_exact(u0, t)
+
+
 def cole_hopf_data(n, length):
     """Two initial data on an n-point box: the Burgers front plus a bump at
     t = 1, and a scaled, lifted front plus a wave packet at t = 0.5."""

@@ -281,6 +281,8 @@ def test_lattice_interpolation_matches_dense_on_fd_nodes(nu, n):
     (-37.3, 0.071, 1001),    # odd m
     (-61.0, 0.097, 1500),    # reaches past both ends of the box: wraps
     (12.5, -0.05, 77),       # descending
+    (-59.9, 0.04, 3000),     # m > n: the chirp's reach is set by m
+    (3.3, 0.07, 1),          # one point
 ])
 def test_lattice_interpolation_odd_and_wrapping(grid_std, x_first, h, m):
     rng = np.random.default_rng(9)
