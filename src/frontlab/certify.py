@@ -36,7 +36,11 @@ ZERO_EIGENVALUE_TOL = 1e-10
 
 
 class CertificationError(RuntimeError):
-    pass
+    """A failed count; `partial` is the unresolved certificate, or None."""
+
+    def __init__(self, message: str, partial: SpectralCertificate | None = None):
+        super().__init__(message)
+        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,11 @@ def count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> int:
     exact ties make the count ambiguous: a zero pivot shows as the next
     division's ZeroDivisionError, or as a zero last pivot.  It runs on
     Python floats with numpy scalars' pivots: `b ** 2` is C `pow` on both
-    (`b * b` is not, in 1 value in 1000), once per distinct b, though only
-    numpy's gives inf where it overflows.  A constant off-diagonal (every FD
-    Schrodinger matrix) runs with its one b^2; any other tridiagonal, as
-    public callers may pass, pairs each pivot with its own.  A non-finite
-    entry or shift, or a scale that overflows, raises ValueError.
+    (`b * b` is not, in 1 value in 1000), though only numpy's gives inf
+    where it overflows.  An off-diagonal all equal to its first entry (every
+    FD Schrodinger matrix) runs with that one b^2; any other, as public
+    callers may pass, squares each entry for its pivot.  A non-finite entry
+    or shift, or a scale that overflows, raises ValueError.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -99,13 +103,11 @@ def count_below(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> int:
     scale = float(np.max(np.abs(diag))) + float(np.max(np.abs(offdiag), initial=0.0))
     if not (math.isfinite(scale) and math.isfinite(shift)):
         raise ValueError("tridiagonal entries, their scale and shift must be finite")
-    values = np.unique(offdiag)
+    values = offdiag[:1] if offdiag.size and (offdiag == offdiag[0]).all() else offdiag
     try:
         squares = [b ** 2 for b in values.tolist()]
     except OverflowError:
         squares = [float(b ** 2) for b in values]
-    if len(squares) > 1:
-        squares = np.array(squares)[np.searchsorted(values, offdiag)].tolist()
     for attempt in range(3):
         shifted = iter((diag - shift).tolist())
         d = next(shifted)
@@ -187,14 +189,13 @@ def check_settings(eps_samples: Sequence[float], m: int) -> None:
 
 def certify_front(front: FrontProfile,
                   eps_samples: Sequence[float] = RunConfig.eps_samples,
-                  m: int = RunConfig.fd_points,
-                  strict: bool = True) -> SpectralCertificate:
+                  m: int = RunConfig.fd_points) -> SpectralCertificate:
     """Counts for each eps on [-0.45 L, 0.45 L], with Richardson
     refinement on lattices of m and 2m points.  Where their counts differ
     at some eps, the 4m lattice is counted too and the pair (2m, 4m)
     replaces them, with `m` recording 2m.  Counts come from the finer
-    lattice of the pair and a near-zero flag from either; a pair that
-    still disagrees marks the certificate unresolved (raised if strict).
+    lattice of the pair and a near-zero flag from either; a pair that still
+    disagrees raises CertificationError with the certificate as `partial`.
     """
     check_settings(eps_samples, m)
     half_width = 0.45 * front.grid.length
@@ -205,13 +206,10 @@ def certify_front(front: FrontProfile,
     if c1 != c2:
         m, c1, f1 = 2 * m, c2, f2
         c2, f2 = _counts(front, 2 * m, half_width, eps_all)
-    if strict and c1 != c2:
-        raise CertificationError(f"unresolved eigenvalue counts: the {m} "
-                                 f"and {2 * m} point lattices disagree")
     positive = [(e, c) for e, c in zip(eps_all, c2) if e > 0.0]
     min_count = min(c for _, c in positive)
     argmin = next(e for e, c in positive if c == min_count)
-    return SpectralCertificate(
+    cert = SpectralCertificate(
         operator=front.operator.label,
         eps_samples=eps_all,
         counts=c2,
@@ -224,6 +222,10 @@ def certify_front(front: FrontProfile,
         near_zero_flags=tuple(a or b for a, b in zip(f1, f2)),
         front_residual=front.residual_sup,
     )
+    if c1 != c2:
+        raise CertificationError(f"unresolved eigenvalue counts: the {m} and "
+                                 f"{2 * m} point lattices disagree", cert)
+    return cert
 
 
 @dataclass(frozen=True)
@@ -269,9 +271,8 @@ def sweep_nu(nu_values: Sequence[float],
     jobs = [(float(nu), tuple(eps_samples), m, points) for nu in nu_values]
     workers = min(threads, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(j) for j in jobs]

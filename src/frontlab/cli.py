@@ -7,7 +7,6 @@ verification failure, 3 numerical instability.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import sys
 from dataclasses import fields, replace
@@ -372,7 +371,8 @@ def cmd_sweep(args) -> int:
 
     workers = min(args.threads, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
             done = iter(list(pool.map(_simulate_worker, jobs)))
     else:
         done = map(_simulate_worker, jobs)

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .config import RunConfig
 from .spectral import (Field, Grid, derivative, trig_interpolate,
@@ -233,8 +232,9 @@ def reference_front(grid: Grid, spec: MultiplierSpec) -> FrontProfile:
                           "reference", phi_second=ref_d2(x), exact=False)
 
 
-def _horner(x: float, c: list) -> float:
-    """numpy `polyval(x, c)`'s operations on a list c of Python floats."""
+def _horner(x, c):
+    """numpy `polyval(x, c, tensor=False)`'s operations, on Python floats or
+    on arrays: c[k] multiplies x^k and broadcasts against x."""
     acc = c[-1] + x * 0
     for ck in c[-2::-1]:
         acc = ck + acc * x
@@ -248,7 +248,6 @@ def solve_ivp(a: float, y0, span: float):
     Returns the step ends ts (ts[0] = 0, ts[-1] = span) and each step's
     Taylor coefficients of phi and phi' about its start, shape (steps, 25,
     2).  A zero or nan step (non-finite state) or |phi| >= 3 raises FrontError.
-    Each step end is numpy `polyval`'s operations on Python floats (`_horner`).
     """
     a, n = float(a), 24
     y, ts, coefs = y0, [0.0], []
@@ -306,8 +305,7 @@ def _shoot_normalized(a: float, targets: np.ndarray):
         """(phi, phi') at points s >= 0 from the step that holds each (the
         earlier one at a step end), as (2, s.size)."""
         step = np.clip(np.searchsorted(ts, s) - 1, 0, ts.size - 2)
-        return polyval(s - ts[step], np.moveaxis(coefs[step], 0, -1),
-                       tensor=False)
+        return _horner(s - ts[step], np.moveaxis(coefs[step], 0, -1))
 
     phi = dense(ts)[0]
     down = np.flatnonzero((phi[:-1] >= 0.0) & (phi[1:] <= 0.0))

@@ -108,6 +108,30 @@ def sturm_cases(rng):
         m = int(rng.integers(3, 60))
         diag = rng.standard_normal(m)
         yield diag, np.full(m - 1, big), [0.0, -big, diag[0]]
+    for _ in range(10):  # constant but for the last entry: b^2 per pivot
+        m = int(rng.integers(3, 300))
+        diag = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3)
+        off = np.full(m - 1, rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
+        off[-1] = rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+        eig = eigh_tridiagonal(diag, off, eigvals_only=True)
+        yield diag, off, [0.0, float(rng.choice(eig)), diag[0]]
+    # a nan after a constant prefix: no inertia to count (ValueError)
+    yield np.ones(7), np.array([-1.0, -1.0, -1.0, np.nan, -1.0, -1.0]), [0.0]
+    for m in (2, 1):  # a one-entry and an empty off-diagonal
+        diag = rng.standard_normal(m)
+        off = rng.standard_normal(m - 1)
+        eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        yield diag, off, [0.0, float(eig[-1]), diag[0]]
+
+
+def test_pivot_breakdown_has_no_certificate(monkeypatch):
+    """A tie that every retry keeps (here the retry's step is set to 0:
+    pivots 1, 1, 0 each time) raises CertificationError whose `partial`,
+    the unresolved certificate, is None."""
+    monkeypatch.setattr(np, "spacing", lambda x: 0.0)
+    with pytest.raises(CertificationError, match="pivot breakdown") as excinfo:
+        count_below(np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0]), 0.0)
+    assert excinfo.value.partial is None
 
 
 def test_count_below_retry_keeps_nearby_eigenvalue():
@@ -156,14 +180,17 @@ def test_count_below_matches_numpy_scalar_recurrence(sweep_fronts):
                 certificate_cases(sweep_fronts)):
             for shift in shifts:
                 want = sturm_count_numpy_scalars(diag, off, shift)
-                if want is None:
+                if not np.isfinite(off).all():
+                    with pytest.raises(ValueError, match="finite"):
+                        count_below(diag, off, shift)
+                elif want is None:
                     with pytest.raises(CertificationError):
                         count_below(diag, off, shift)
                 else:
                     assert count_below(diag, off, shift) == want
                 cases += 1
     assert cases == (60 * 5 + 60 * 4 + 3 * (3 + 2) + 1 + 40 * 5 + 40 * 3 + 1
-                     + 3 * 3 + 3 * 2 * 7 * 3)
+                     + 3 * 3 + 10 * 3 + 1 + 2 * 3 + 3 * 2 * 7 * 3)
 
 
 @pytest.mark.parametrize("diag,off,shift", [
@@ -270,7 +297,7 @@ def test_sweep_rows_resolved_on_the_4m_lattice():
 
 def test_refinement_keeps_the_finer_pair(burgers_front, monkeypatch):
     """Counts that differ between m and 2m are settled by 2m and 4m; a
-    pair that still disagrees raises in strict mode."""
+    pair that still disagrees raises with the unresolved certificate."""
     m = 400
     monkeypatch.setattr("frontlab.certify._inertia",
                         lambda v, eps, h: (2 if v.size == m else 1, False))
@@ -279,9 +306,9 @@ def test_refinement_keeps_the_finer_pair(burgers_front, monkeypatch):
 
     monkeypatch.setattr("frontlab.certify._inertia",
                         lambda v, eps, h: (v.size // m, False))
-    with pytest.raises(CertificationError, match="800 and 1600"):
+    with pytest.raises(CertificationError, match="800 and 1600") as excinfo:
         certify_front(burgers_front, m=m)
-    cert = certify_front(burgers_front, m=m, strict=False)
+    cert = excinfo.value.partial
     assert (cert.m, cert.richardson_ok, cert.counts[0]) == (2 * m, False, 4)
 
 
@@ -338,7 +365,7 @@ def test_counts_match_dense_collocation_oracle(grid_std, case):
     else:
         front = _sweep_front(4.6)
         phi_prime, length, gap = front.phi_prime.values[::4], front.grid.length, 1e-5
-    cert = certify_front(front, strict=False)
+    cert = certify_front(front)
     assert cert.satisfied == (case in ("pt0.25", "nu2.2"))
     dense = _collocation_counts(phi_prime, length, cert.eps_samples, gap)
     assert len(dense) >= 3

@@ -228,8 +228,8 @@ def test_shooting_certificate_matches_oracle_front(nu):
     g = make_grid(1024, 80.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = certify_front(shoot_local_front(nu, g), strict=False)
-        want = certify_front(bisection_front(nu, g), strict=False)
+        got = certify_front(shoot_local_front(nu, g))
+        want = certify_front(bisection_front(nu, g))
     assert got.counts == want.counts
     assert got.near_zero_flags == want.near_zero_flags
     assert got.richardson_ok == want.richardson_ok
@@ -293,7 +293,8 @@ def test_taylor_steps_equal_polyval_steps(monkeypatch, a, length):
 
 def test_horner_is_polyval_bit_for_bit():
     """`_horner` repeats numpy `polyval`'s operations on Python floats:
-    the same bits at x of either sign and on rows holding zeros."""
+    the same bits at x of either sign and on rows holding zeros; and on
+    arrays shaped as the shooting's dense output passes them."""
     rng = np.random.default_rng(29)
     rows = [[0.0] * 25, [-0.0], [-0.0, 0.0, -0.0], [1.0], [0.0, 1.0, 0.0]]
     for _ in range(300):
@@ -307,6 +308,10 @@ def test_horner_is_polyval_bit_for_bit():
         for x in xs:
             got, want = fronts._horner(x, c), polyval(x, np.array(c))
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    x = np.array(xs * 10)
+    c = rng.standard_normal((25, 2, x.size)) * 10.0 ** rng.uniform(-6.0, 6.0, (25, 1, 1))
+    got, want = fronts._horner(x, c), polyval(x, c, tensor=False)
+    assert got.shape == (2, x.size) and got.tobytes() == want.tobytes()
 
 
 def test_taylor_stepper_fails_on_overflow():
