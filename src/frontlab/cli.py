@@ -115,17 +115,12 @@ def cmd_front(args) -> int:
     spec, grid, _, _ = _check_config(cfg)
     front = front_for_operator(spec, grid, tol=cfg.front_tol)
     saved = runio.write_profile(args.out or "profile", front)
-    hyp = front.hypothesis
     monotone = float(np.max(front.phi_prime.values)) <= 1e-10
     print(f"operator      {front.operator.label}")
     print(f"method        {front.method}")
     print(f"residual_sup  {front.residual_sup:.3e}")
     print(f"endpoints     ({front.endpoints[0]:g}, {front.endpoints[1]:g})")
     print(f"monotone      {monotone}")
-    print(f"|phi'|_2      {hyp.phi_prime_l2:.6f}")
-    print(f"|phi''|_2     {hyp.phi_second_l2:.6f}")
-    print(f"first moment  {hyp.first_moment:.6f} (tail share {hyp.tail_fraction:.2e})")
-    print(f"edge |phi'|   {hyp.edge_derivative:.2e}")
     print(f"saved         {saved[0]}, {saved[1]}")
     return EXIT_OK
 

@@ -86,7 +86,6 @@ class NormSeries:
 class EnergyReport:
     c_fit: float
     violations: int
-    steps_used: int
 
 
 def energy_rose(prev, new, first):
@@ -116,9 +115,7 @@ def check_energy_inequality(series: NormSeries) -> EnergyReport:
         raise ValueError("series too short: fewer than 10 usable steps")
     ratios = (-de[usable] / dt[usable]) / grad[usable]
     violations = int(np.sum(energy_rose(e[:-1], e[1:], e[0])))
-    return EnergyReport(c_fit=float(np.min(ratios)),
-                        violations=violations,
-                        steps_used=int(np.count_nonzero(usable)))
+    return EnergyReport(c_fit=float(np.min(ratios)), violations=violations)
 
 
 @dataclass(frozen=True)

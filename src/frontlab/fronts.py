@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .symbols import MultiplierSpec, preset, rescale_symbol
 __all__ = [
     "FrontError",
     "NoBoundedFrontError",
-    "HypothesisReport",
     "FrontProfile",
     "GalileanParams",
     "closed_form_burgers",
@@ -105,27 +105,25 @@ def operator_on_reference(spec: MultiplierSpec, grid: Grid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HypothesisReport:
-    """Localization evidence for a front: derivative norms and first moment."""
-
-    phi_prime_l2: float
-    phi_second_l2: float
-    first_moment: float       # integral (1+|x|)|phi'| dx
-    tail_fraction: float      # share of first_moment from the outer 10% of the box
-    edge_derivative: float    # max |phi'| at the box edge
-
-
-@dataclass(frozen=True)
 class FrontProfile:
+    """A front as its solver produced it: `phi` and `phi_prime` on `grid`,
+    the `operator` of its profile equation, that equation's `residual_sup`
+    (nan when not a solution) and the solver's `method`.  Derived: `exact`
+    (it solves the equation: every method but "reference") and `endpoints`,
+    the limits (1, -1) at -inf and +inf that every solver normalizes to."""
+
+    endpoints: ClassVar[tuple[float, float]] = (1.0, -1.0)
+
     grid: Grid
     phi: Field
     phi_prime: Field
-    endpoints: tuple[float, float]   # (limit at -inf, limit at +inf)
     operator: MultiplierSpec
     residual_sup: float
-    hypothesis: HypothesisReport
     method: str
-    exact: bool = True  # False for a reference profile that does not solve the equation
+
+    @property
+    def exact(self) -> bool:
+        return self.method != "reference"
 
     @property
     def correction(self) -> np.ndarray:
@@ -148,23 +146,6 @@ class FrontProfile:
             nodes[0], h, nodes.size
         )
         return ref_d1(nodes) + dw
-
-
-def _hypothesis_report(grid: Grid, phi_prime: np.ndarray,
-                       phi_second: np.ndarray) -> HypothesisReport:
-    x, h = grid.x, grid.h
-    dens = (1.0 + np.abs(x)) * np.abs(phi_prime)
-    total = float(h * np.sum(dens))
-    outer = np.abs(x) >= 0.45 * grid.length
-    tail = float(h * np.sum(dens[outer]))
-    return HypothesisReport(
-        phi_prime_l2=float(np.sqrt(h * np.sum(phi_prime ** 2))),
-        phi_second_l2=float(np.sqrt(h * np.sum(phi_second ** 2))),
-        first_moment=total,
-        tail_fraction=tail / total if total > 0 else 0.0,
-        edge_derivative=float(max(np.abs(phi_prime[:2]).max(),
-                                  np.abs(phi_prime[-2:]).max())),
-    )
 
 
 def _flux_residual(grid: Grid, w: np.ndarray, lin: np.ndarray,
@@ -193,23 +174,11 @@ def profile_residual(profile: FrontProfile) -> float:
 
 
 def _build_profile(grid: Grid, phi: np.ndarray, phi_prime: np.ndarray,
-                   spec: MultiplierSpec, method: str,
-                   phi_second: np.ndarray,
-                   exact: bool = True) -> FrontProfile:
-    prof = FrontProfile(
-        grid=grid,
-        phi=Field(grid, phi),
-        phi_prime=Field(grid, phi_prime),
-        endpoints=(1.0, -1.0),
-        operator=spec,
-        residual_sup=np.nan,
-        hypothesis=_hypothesis_report(grid, phi_prime, phi_second),
-        method=method,
-        exact=exact,
-    )
-    if exact:
-        object.__setattr__(prof, "residual_sup", profile_residual(prof))
-    return prof
+                   spec: MultiplierSpec, method: str) -> FrontProfile:
+    prof = FrontProfile(grid=grid, phi=Field(grid, phi),
+                        phi_prime=Field(grid, phi_prime), operator=spec,
+                        residual_sup=np.nan, method=method)
+    return replace(prof, residual_sup=profile_residual(prof)) if prof.exact else prof
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +189,14 @@ def closed_form_burgers(grid: Grid) -> FrontProfile:
     """Pure Burgers front phi(x) = -tanh(x/2) (first integral phi' = (phi^2-1)/2)."""
     x = grid.x
     return _build_profile(grid, ref_profile(x), ref_d1(x),
-                          preset("burgers"), "closed_form",
-                          phi_second=ref_d2(x))
+                          preset("burgers"), "closed_form")
 
 
 def reference_front(grid: Grid, spec: MultiplierSpec) -> FrontProfile:
     """The Burgers profile used as a reference potential for an operator
     whose profile equation has no localized front (residual not defined)."""
     x = grid.x
-    return _build_profile(grid, ref_profile(x), ref_d1(x), spec,
-                          "reference", phi_second=ref_d2(x), exact=False)
+    return _build_profile(grid, ref_profile(x), ref_d1(x), spec, "reference")
 
 
 def _horner(x, c):
@@ -349,8 +316,7 @@ def shoot_local_front(nu: float, grid: Grid,
         # phi_{-nu}(x) = -phi_{nu}(-x) maps the nu<0 problem to nu>0
         psi, dpsi = _shoot_normalized(-nu, -x)
         phi, dphi = -psi, dpsi
-    d2 = -(dphi + 0.5 * (1.0 - phi ** 2)) / nu
-    prof = _build_profile(grid, phi, dphi, spec, "shooting", phi_second=d2)
+    prof = _build_profile(grid, phi, dphi, spec, "shooting")
     if prof.residual_sup > tol:
         warnings.warn(
             f"shooting residual {prof.residual_sup:.2e} above tol {tol:.1e} "
@@ -442,9 +408,8 @@ def newton_front(spec: MultiplierSpec, grid: Grid,
             f"(residual {norm:.3e}) for {spec.label!r}"
         )
 
-    wf = Field(grid, w)
-    return _build_profile(grid, t0 + w, t1 + derivative(wf, 1).values, spec,
-                          "newton", phi_second=ref_d2(x) + derivative(wf, 2).values)
+    return _build_profile(grid, t0 + w, t1 + derivative(Field(grid, w), 1).values,
+                          spec, "newton")
 
 
 GMRES_RESTART, GMRES_CYCLES = 100, 20  # Arnoldi basis length; cycle cap

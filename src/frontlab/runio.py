@@ -38,7 +38,7 @@ import numpy as np
 from .certify import SpectralCertificate
 from .config import RunConfig
 from .diagnostics import NormSeries
-from .fronts import FrontProfile, HypothesisReport
+from .fronts import FrontProfile
 from .spectral import Field, make_grid
 from .symbols import spec_from_text
 
@@ -128,7 +128,6 @@ def write_profile(base, profile: FrontProfile) -> tuple[Path, Path]:
         "method": profile.method,
         "exact": profile.exact,
         "grid": {"n": profile.grid.n, "length": profile.grid.length},
-        "hypothesis": asdict(profile.hypothesis),
     })
     return paths
 
@@ -146,13 +145,10 @@ def read_profile(base) -> FrontProfile:
         grid=grid,
         phi=Field(grid, data[:, 1]),
         phi_prime=Field(grid, data[:, 2]),
-        endpoints=tuple(meta["endpoints"]),
         operator=spec,
         residual_sup=meta["residual_sup"] if meta["residual_sup"] is not None
         else float("nan"),
-        hypothesis=HypothesisReport(**meta["hypothesis"]),
         method=meta["method"],
-        exact=meta.get("exact", True),
     )
 
 

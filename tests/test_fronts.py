@@ -103,10 +103,8 @@ def bisection_front(nu, grid):
     """The KdV-Burgers front built from the bisection oracle."""
     a, sign = abs(nu), np.sign(nu)
     psi, dpsi = bisection_shoot(a, sign * grid.x)
-    phi, dphi = sign * psi, dpsi
-    d2 = -(dphi + 0.5 * (1.0 - phi ** 2)) / nu
-    return _build_profile(grid, phi, dphi, preset("kdvb", nu=float(nu)),
-                          "shooting", phi_second=d2)
+    return _build_profile(grid, sign * psi, dpsi, preset("kdvb", nu=float(nu)),
+                          "shooting")
 
 
 def explicit_kdvb_profile(y):
@@ -137,9 +135,9 @@ def test_profile_residual_candidate_against_kdvb():
     g = make_grid(1024, 80.0)
     base = closed_form_burgers(g)
     candidate = FrontProfile(
-        grid=g, phi=base.phi, phi_prime=base.phi_prime, endpoints=(1, -1),
+        grid=g, phi=base.phi, phi_prime=base.phi_prime,
         operator=preset("kdvb", nu=0.2), residual_sup=np.nan,
-        hypothesis=base.hypothesis, method="candidate")
+        method="candidate")
     res = profile_residual(candidate)
     assert res == pytest.approx(0.05, abs=1e-10)
 
@@ -149,9 +147,8 @@ def test_profile_residual_sensitivity(kdvb_front):
         grid=kdvb_front.grid,
         phi=Field(kdvb_front.grid,
                   kdvb_front.phi.values + 1e-3 / np.cosh(kdvb_front.grid.x)),
-        phi_prime=kdvb_front.phi_prime, endpoints=(1, -1),
-        operator=kdvb_front.operator, residual_sup=np.nan,
-        hypothesis=kdvb_front.hypothesis, method="bumped")
+        phi_prime=kdvb_front.phi_prime,
+        operator=kdvb_front.operator, residual_sup=np.nan, method="bumped")
     assert profile_residual(bumped) >= 10.0 * kdvb_front.residual_sup
 
 
@@ -435,15 +432,16 @@ def test_newton_matches_lgmres_oracle(monkeypatch, spec, n, length):
     assert np.max(np.abs(got.phi_prime.values - want.phi_prime.values)) <= 1e-13
 
 
-def test_hypothesis_report_localization(burgers_front, kdvb_front):
+def test_fronts_are_localized_in_the_box(burgers_front, kdvb_front):
+    """The box resolves both tails: the outer 10% of the box holds at most
+    1e-6 of the first moment int (1+|x|)|phi'| dx, and |phi'| at the two
+    outermost nodes on each side is at most 1e-10."""
     for prof in (burgers_front, kdvb_front):
-        hyp = prof.hypothesis
-        assert np.isfinite(hyp.phi_prime_l2) and hyp.phi_prime_l2 > 0
-        assert np.isfinite(hyp.phi_second_l2)
-        assert np.isfinite(hyp.first_moment)
-        # tail of the first moment: outer 10% of the box is negligible
-        assert hyp.tail_fraction <= 1e-6
-        assert hyp.edge_derivative <= 1e-10
+        x, dphi = prof.grid.x, np.abs(prof.phi_prime.values)
+        moment = (1.0 + np.abs(x)) * dphi
+        outer = np.abs(x) >= 0.45 * prof.grid.length
+        assert np.sum(moment[outer]) <= 1e-6 * np.sum(moment)
+        assert max(dphi[:2].max(), dphi[-2:].max()) <= 1e-10
 
 
 def test_front_for_operator_dispatch(grid_std):
@@ -513,9 +511,9 @@ def test_denormalize_reproduces_explicit_traveling_front(grid_std):
     prof = FrontProfile(
         grid=grid_std,
         phi=Field(grid_std, explicit_kdvb_profile(grid_std.x)),
-        phi_prime=base.phi_prime, endpoints=(1, -1),
+        phi_prime=base.phi_prime,
         operator=preset("kdvb", nu=-6.0 / 25.0), residual_sup=np.nan,
-        hypothesis=base.hypothesis, method="analytic")
+        method="analytic")
     params = GalileanParams(u_minus=0.0, u_plus=-24.0 / 5.0, c=-1.0, lam=12.0 / 5.0)
     for t in (0.0, 0.5):
         pts = np.linspace(-8.0, 8.0, 81)

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frontlab import Field, NormSeries, RunConfig, make_grid, preset
+from frontlab import (Field, NormSeries, RunConfig, certify_front, make_grid,
+                      preset)
 from frontlab.cli import main
 from frontlab.config import FIELDS, KEYS, operator_from_config
 from frontlab.evolution import StepperConfig
+from frontlab.fronts import reference_front
 from frontlab.runio import (RunWriter, read_certificate, read_field_csv,
                             read_json, read_profile, read_run, read_series_csv,
                             to_json, write_certificate, write_field_csv,
@@ -56,17 +58,39 @@ def test_profile_round_trip_with_params(tmp_path, kdvb_front):
                          - kdvb_front.operator.values(ks))) <= 1e-13
 
 
-def test_profile_base_with_dot(tmp_path, burgers_front, kdvb_front):
+def test_profile_reads_older_files_with_a_hypothesis_report(tmp_path,
+                                                             burgers_front,
+                                                             burgers_cert):
+    """profile.json once carried a "hypothesis" object of localization
+    numbers; such files still load and certify as before."""
+    base = tmp_path / "prof"
+    write_profile(base, burgers_front)
+    meta = read_json(f"{base}.json")
+    meta["hypothesis"] = {
+        "phi_prime_l2": 0.8164965809277259, "phi_second_l2": 0.3651483716701107,
+        "first_moment": 4.772080018289854, "tail_fraction": 7.407213932568861e-15,
+        "edge_derivative": 9.933658651448207e-18}
+    write_json(f"{base}.json", meta)
+    again = read_profile(base)
+    assert np.array_equal(again.phi.values, burgers_front.phi.values)
+    assert np.array_equal(again.phi_prime.values, burgers_front.phi_prime.values)
+    assert certify_front(again) == burgers_cert
+
+
+def test_profile_base_with_dot(tmp_path, grid_std, burgers_front, kdvb_front):
     """A dot in the base name is part of the name, not a suffix."""
-    fronts = {"a_0.1": burgers_front, "a_0.2": kdvb_front}
+    fronts = {"a_0.1": burgers_front, "a_0.2": kdvb_front,
+              "a_0.3": reference_front(grid_std, preset("hilbert"))}
     for name, front in fronts.items():
         paths = write_profile(tmp_path / name, front)
         assert paths == (tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
-    assert len(list(tmp_path.iterdir())) == 4
+    assert len(list(tmp_path.iterdir())) == 2 * len(fronts)
     for name, front in fronts.items():
         again = read_profile(tmp_path / name)
         assert np.array_equal(again.phi.values, front.phi.values)
         assert again.method == front.method
+    again = read_profile(tmp_path / "a_0.3")  # the reference profile
+    assert again.exact is False and np.isnan(again.residual_sup)
 
 
 def test_certificate_round_trip(tmp_path, burgers_cert):
