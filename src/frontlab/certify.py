@@ -30,6 +30,7 @@ __all__ = [
     "check_settings",
     "certify_front",
     "sweep_nu",
+    "map_jobs",
 ]
 
 ZERO_EIGENVALUE_TOL = 1e-10
@@ -268,14 +269,19 @@ def sweep_nu(nu_values: Sequence[float],
     processes when that is > 1.
     """
     check_settings(eps_samples, m)
-    jobs = [(float(nu), tuple(eps_samples), m, points) for nu in nu_values]
-    workers = min(threads, len(jobs))  # a pool starts all its workers at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
-    else:
-        rows = [_sweep_row(j) for j in jobs]
+    rows = map_jobs(_sweep_row, [(float(nu), tuple(eps_samples), m, points)
+                                 for nu in nu_values], threads)
     threshold = max((r.nu for r in rows if r.satisfied), key=abs,
                     default=float("nan"))
     return rows, threshold
+
+
+def map_jobs(fn: Callable, jobs: Sequence, threads: int) -> list:
+    """[fn(job) for job in jobs], on min(threads, jobs) worker processes
+    when that is > 1 and in this process otherwise."""
+    workers = min(threads, len(jobs))  # a pool starts all its workers at once
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers) as pool:
+        return list(pool.map(fn, jobs))

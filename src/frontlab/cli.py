@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, runio
 from .certify import (CertificationError, certify_front, check_settings,
-                      sweep_nu)
+                      map_jobs, sweep_nu)
 from .config import KEYS, RunConfig, operator_from_config, set_key
 from .diagnostics import (check_energy_inequality, compare_to_theorem,
                           predicted_rate, weighted_bound_monitor, window_mask)
@@ -94,16 +94,21 @@ def _check_config(cfg: RunConfig):
     v0 = make_perturbation(cfg.kind, cfg.amplitude, cfg.width, grid, cfg.seed)
     check_settings(cfg.eps_samples, cfg.fd_points)
     window = cfg.window()
-    if cfg.model:  # `rates` on the run's own settings: p = 2 and the default p
+    if cfg.model:  # `rates` on the run's own settings
         times = cfg.dt * np.array(stepper_cfg.record_steps())  # evolve's record times
-        for p in [2.0] + _default_p_list(cfg):
+        for p in _rates_p_list(cfg):
             window_mask(times, window, predicted_rate(cfg.model, p, cfg.delta)[1])
     return spec, grid, stepper_cfg, v0
 
 
-def _default_p_list(cfg: RunConfig) -> list:
-    """The p list, and the derivative for frac_odd: `rates`' default p."""
-    return list(cfg.p_list) + (["derivative"] if cfg.model == "frac_odd" else [])
+def _rates_p_list(cfg: RunConfig, text: str | None = None) -> list:
+    """The p values `rates` judges: the comma list `text` or, by default,
+    the config's p list and the derivative for frac_odd; p = 2 first when
+    missing."""
+    p_list = ([p if p == "derivative" else float(p)
+               for p in map(str.strip, text.split(","))] if text else
+              list(cfg.p_list) + (["derivative"] if cfg.model == "frac_odd" else []))
+    return p_list if 2.0 in p_list else [2.0] + p_list
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +187,10 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.satisfied else EXIT_CERTIFICATION
 
 
-def _run_pipeline(cfg: RunConfig, checked) -> tuple[int, dict, str]:
+def _run_pipeline(cfg: RunConfig) -> tuple[int, dict, str]:
     """Exit status, summary and the instability abort's message ("" if none)
-    of a config and its `_check_config` result."""
-    spec, grid, stepper_cfg, v0 = checked
+    of a config, which `_check_config` checks before any front work."""
+    spec, grid, stepper_cfg, v0 = _check_config(cfg)
     front = front_for_operator(spec, grid, tol=cfg.front_tol)
     cert = None
     try:
@@ -232,7 +237,7 @@ def _run_pipeline(cfg: RunConfig, checked) -> tuple[int, dict, str]:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    status, summary, _ = _run_pipeline(cfg, _check_config(cfg))
+    status, summary, _ = _run_pipeline(cfg)
     print(f"run directory          {cfg.directory}")
     print(f"monotonicity           {summary['monotonicity_violations']} violations "
           f"(max uptick {summary['max_relative_uptick']:.2e})")
@@ -295,11 +300,8 @@ def cmd_rates(args) -> int:
     model, window, delta = cfg.model, cfg.window(), cfg.delta
     if not model:
         raise ValueError("no theorem model given (use --model kdvb|frac_odd)")
-    p_list = ([_parse_p(p) for p in args.p_list.split(",")] if args.p_list
-              else _default_p_list(cfg))
-    if 2.0 not in p_list:
-        p_list = [2.0] + p_list
-    verdicts = compare_to_theorem(series, model, p_list, window, delta=delta)
+    verdicts = compare_to_theorem(series, model, _rates_p_list(cfg, args.p_list),
+                                  window, delta=delta)
     print(f"model {model}, window [{window[0]:g}, {window[1]:g}], delta {delta:g}")
     print(f"{'p':>12} {'rate':>7} {'beta':>6} {'envelope':>9} {'fitted':>8}  verdict")
     for v in verdicts:
@@ -325,21 +327,11 @@ def cmd_rates(args) -> int:
     return EXIT_OK if all(v.satisfied for v in verdicts) else EXIT_CERTIFICATION
 
 
-def _parse_p(text: str):
-    text = text.strip()
-    return text if text == "derivative" else float(text)
-
-
-def _failure_row(cfg: RunConfig, exc: Exception) -> tuple[str, int, dict, str]:
-    return cfg.directory, _failure_exit(exc), {}, str(exc)
-
-
-def _simulate_worker(job) -> tuple[str, int, dict, str]:
-    cfg, checked = job
+def _simulate_worker(cfg: RunConfig) -> tuple[str, int, dict, str]:
     try:
-        return (cfg.directory, *_run_pipeline(cfg, checked))
+        return (cfg.directory, *_run_pipeline(cfg))
     except tuple(FAILURE_EXIT) as exc:
-        return _failure_row(cfg, exc)
+        return cfg.directory, _failure_exit(exc), {}, str(exc)
 
 
 def cmd_sweep(args) -> int:
@@ -351,28 +343,14 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"not a sweepable key: {key!r}")
     attr, kind = KEYS[key]
     base_dir = Path(args.out or "sweep_runs")
-    results, jobs = [], []
+    runs = []
     # list values contain commas, so list keys separate sweep values with ';'
     for raw in values.split(";" if kind in ("floats", "pairs") else ","):
         raw = raw.strip()
-        sub = replace(cfg, directory=str(base_dir / f"{attr}_{raw}"))
-        set_key(sub, key, raw)
-        # a job that fails the check is a row, and no worker starts it
-        try:
-            jobs.append((sub, _check_config(sub)))
-            results.append(None)
-        except tuple(FAILURE_EXIT) as exc:
-            results.append(_failure_row(sub, exc))
-
-    workers = min(args.threads, len(jobs))  # a pool starts all its workers at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers) as pool:
-            done = iter(list(pool.map(_simulate_worker, jobs)))
-    else:
-        done = map(_simulate_worker, jobs)
-    results = [row or next(done) for row in results]
-
+        runs.append(replace(cfg, directory=str(base_dir / f"{attr}_{raw}")))
+        set_key(runs[-1], key, raw)
+    # a run whose config fails its check is a row, before any front work
+    results = map_jobs(_simulate_worker, runs, args.threads)
     runio.write_sweep_summary(base_dir, results)
     worst = max((status for _, status, _, _ in results), default=0)
     print(f"{len(results)} runs under {base_dir} (worst exit {worst})")

@@ -225,7 +225,10 @@ class _EtdRk4:
         self.f3 = dt * (4.0 * p3 - p2)
 
     def advance(self, z, nonlin):
-        # no product writes over its input: numpy's in-place complex
+        # the out= buffers here and in nonlinear_hat save allocations: plain
+        # expressions give a bit-identical series and a slower step (n = 2048,
+        # kdvb: 199 against 183 us/step, medians of 6 process pairs, 2 cores).
+        # No product writes over its input: numpy's in-place complex
         # product can round differently, while sums are exact in place
         t = np.empty_like(z)
         ez = self.e_half * z

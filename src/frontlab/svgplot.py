@@ -7,6 +7,8 @@ import math
 __all__ = ["write_loglog_svg"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+XLABEL, YLABEL = "t", "norm"
+WIDTH, HEIGHT = 640, 440
 
 
 def _ticks(lo: float, hi: float):
@@ -15,9 +17,7 @@ def _ticks(lo: float, hi: float):
     return [10.0 ** e for e in range(first, last + 1)]
 
 
-def write_loglog_svg(path, curves, guides=(), title="",
-                     xlabel="t", ylabel="norm",
-                     width=640, height=440):
+def write_loglog_svg(path, curves, guides=(), title=""):
     """curves: [(label, xs, ys)]; guides: [(label, slope, x0, y0)] drawn as
     dashed lines y = y0 * (x/x0)^slope."""
     pts = [(x, y) for _, xs, ys in curves for x, y in zip(xs, ys)
@@ -29,7 +29,7 @@ def write_loglog_svg(path, curves, guides=(), title="",
     y_lo = min(p[1] for p in pts)
     y_hi = max(p[1] for p in pts)
     y_lo = max(y_lo, y_hi * 1e-12)
-    margin = 58
+    margin, width, height = 58, WIDTH, HEIGHT
     span_x = math.log10(x_hi) - math.log10(x_lo) or 1.0
     span_y = math.log10(y_hi) - math.log10(y_lo) or 1.0
 
@@ -60,9 +60,9 @@ def write_loglog_svg(path, curves, guides=(), title="",
         parts.append(f'<text x="{margin-6}" y="{sy(ty)+4:.1f}" '
                      f'text-anchor="end">1e{int(math.log10(ty))}</text>')
     parts.append(f'<text x="{width/2:.1f}" y="{height-12}" '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 f'text-anchor="middle">{XLABEL}</text>')
     parts.append(f'<text x="16" y="{height/2:.1f}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {height/2:.1f})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {height/2:.1f})">{YLABEL}</text>')
 
     for idx, (label, slope, x0, y0) in enumerate(guides):
         xs = [x_lo, x_hi]

@@ -73,6 +73,63 @@ def test_front_and_certify(tmp_path, capsys):
     assert "satisfied: True" in capsys.readouterr().out
 
 
+def test_certify_solves_its_own_front(tmp_path):
+    """`certify` without --profile solves the front its flags name and
+    writes the certificate that `front` then `certify --profile` writes."""
+    flags = ["--preset", "kdvb", "--nu", "-0.24", "--n", "512", "--length", "40"]
+    assert run_cli(["front", *flags, "--out", str(tmp_path / "p")]) == 0
+    assert run_cli(["certify", "--profile", str(tmp_path / "p"),
+                    "--fd-points", "400", "--out", str(tmp_path / "c1.json")]) == 0
+    assert run_cli(["certify", *flags, "--fd-points", "400",
+                    "--out", str(tmp_path / "c2.json")]) == 0
+    assert ((tmp_path / "c1.json").read_bytes()
+            == (tmp_path / "c2.json").read_bytes())
+
+
+def unresolved(*args, **kwargs):
+    raise cli.CertificationError("counts differ")
+
+
+def test_certify_unresolved_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "certify_front", unresolved)
+    out = tmp_path / "c.json"
+    assert run_cli(["certify", "--preset", "burgers", "--n", "256",
+                    "--length", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "unresolved certificate: counts differ\n"
+    assert not out.exists()
+
+
+def test_simulate_unresolved_certificate_runs_on(tmp_path, monkeypatch, capsys):
+    """An unresolved certificate is a warning: the run evolves without one
+    and records it as null."""
+    monkeypatch.setattr(cli, "certify_front", unresolved)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(short_config(0.4))
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="evolving without a spectral certificate"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "warning: certificate unresolved (counts differ)" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["certificate_satisfied"] is None
+
+
+def test_rates_without_model(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(short_config(0.4))
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["rates", "--run", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: no theorem model given "
+                                       "(use --model kdvb|frac_odd)\n")
+
+
+def test_kdvb_preset_needs_nu(capsys):
+    assert run_cli(["front", "--preset", "kdvb"]) == 1
+    assert capsys.readouterr().err == "error: kdvb preset requires nu\n"
+
+
 def test_front_nonmonotone_reported(tmp_path, capsys):
     base = tmp_path / "prof03"
     assert run_cli(["front", "--preset", "kdvb", "--nu", "0.3",
@@ -360,7 +417,7 @@ def test_sweep_workers_capped_at_runs(tmp_path, monkeypatch, serial_pool):
     """A pool starts all its workers at once, so it gets no more than one
     per run, and one run or one thread runs with no pool at all."""
     monkeypatch.setattr(cli, "_simulate_worker",
-                        lambda job: (job[0].directory, 0, {}, ""))
+                        lambda cfg: (cfg.directory, 0, {}, ""))
     cfg = tmp_path / "run.ini"
     cfg.write_text(short_config(0.5))
     for threads, values in (("5000", "0.1,0.2,0.3"), ("2", "0.1,0.2,0.3"),
@@ -756,8 +813,8 @@ def test_certify_sweep_bad_fd_points_fails_fast(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_checks_every_run_before_starting_any(tmp_path, monkeypatch):
-    """A run whose config fails the check is a status-1 row that no worker
-    starts; only the other runs solve a front."""
+    """A run whose config fails the check is a status-1 row that fails
+    before any front work; only the other runs solve a front."""
     fronts = []
     front_for_operator = cli.front_for_operator
 

@@ -77,10 +77,13 @@ def test_profile_reads_older_files_with_a_hypothesis_report(tmp_path,
     assert certify_front(again) == burgers_cert
 
 
-def test_profile_base_with_dot(tmp_path, grid_std, burgers_front, kdvb_front):
-    """A dot in the base name is part of the name, not a suffix."""
+def test_profile_base_with_dot(tmp_path, grid_std, burgers_front, kdvb_front,
+                               frac_half_front):
+    """A dot in the base name is part of the name, not a suffix; the
+    operator reads back whole, a fractional one's terms included."""
     fronts = {"a_0.1": burgers_front, "a_0.2": kdvb_front,
-              "a_0.3": reference_front(grid_std, preset("hilbert"))}
+              "a_0.3": reference_front(grid_std, preset("hilbert")),
+              "a_0.4": frac_half_front}
     for name, front in fronts.items():
         paths = write_profile(tmp_path / name, front)
         assert paths == (tmp_path / f"{name}.csv", tmp_path / f"{name}.json")
@@ -89,6 +92,9 @@ def test_profile_base_with_dot(tmp_path, grid_std, burgers_front, kdvb_front):
         again = read_profile(tmp_path / name)
         assert np.array_equal(again.phi.values, front.phi.values)
         assert again.method == front.method
+        assert again.operator.params == front.operator.params
+        assert again.operator.label == front.operator.label
+        assert again.operator.text == front.operator.text
     again = read_profile(tmp_path / "a_0.3")  # the reference profile
     assert again.exact is False and np.isnan(again.residual_sup)
 
